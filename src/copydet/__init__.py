@@ -9,6 +9,7 @@ from .datagen import (
     TIERS,
     AugmentTier,
     SyntheticWorld,
+    augment_batch,
     augment_vector,
     gen_world,
     get_tier,
@@ -23,6 +24,7 @@ from .errors import (
     EmptyBatch,
     EmptyGroundTruth,
     FormatError,
+    NonFiniteValue,
     ShapeMismatch,
     ZeroVector,
 )
@@ -74,6 +76,7 @@ __all__ = [
     "MemoryBank",
     "NegSubConfig",
     "Neighbor",
+    "NonFiniteValue",
     "RankedMatches",
     "RunManifest",
     "ShapeMismatch",
@@ -82,6 +85,7 @@ __all__ = [
     "TIERS",
     "TOOL_VERSION",
     "ZeroVector",
+    "augment_batch",
     "augment_vector",
     "build_candidates",
     "contrastive_loss",

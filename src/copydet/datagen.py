@@ -55,38 +55,58 @@ def get_tier(name: str) -> AugmentTier:
         raise ValueError(f"unknown tier {name!r}, expected one of {TIER_NAMES}") from None
 
 
-def augment_vector(v: np.ndarray, tier: AugmentTier, rng: np.random.Generator) -> np.ndarray:
-    """Transform a raw vector at the given tier strength.
+def augment_batch(x: np.ndarray, tier: AugmentTier, rng: np.random.Generator) -> np.ndarray:
+    """Transform every row of a raw (B, d) block at the given tier strength.
 
-    Four ops run in an order reshuffled per call: additive Gaussian noise,
-    planar rotations in random coordinate pairs, a convex mix with a fresh
-    distractor vector (overlay analog), and coordinate dropout (erasing
-    analog). Returns a raw, unnormalized vector. The "none" tier returns
-    the input unchanged and consumes no randomness.
+    Four ops run in an order drawn per row: additive Gaussian noise, planar
+    rotations in d // 4 disjoint random coordinate pairs, a convex mix with
+    a fresh distractor vector (overlay analog), and coordinate dropout
+    (erasing analog). All draws for the block are made up front, so one
+    call consumes the stream in a fixed order. Returns raw, unnormalized
+    rows. The "none" tier returns an unchanged copy and consumes no
+    randomness.
     """
-    y = np.asarray(v, dtype=np.float64).copy()
+    y = np.array(x, dtype=np.float64, order="C")
+    if y.ndim != 2:
+        raise ValueError(f"augment_batch needs a (B, d) block, got shape {y.shape}")
     if tier.name == "none":
         return y
-    d = y.shape[0]
-    for op in rng.permutation(4):
-        if op == 0:
-            y += rng.normal(0.0, tier.noise_sigma, d)
-        elif op == 1:
-            npairs = d // 4
-            if npairs > 0:
-                pairs = rng.permutation(d)[: 2 * npairs].reshape(npairs, 2)
-                angles = rng.uniform(-tier.rotation_angle, tier.rotation_angle, npairs)
-                for (i, j), theta in zip(pairs, angles):
-                    c, s = np.cos(theta), np.sin(theta)
-                    y[i], y[j] = c * y[i] - s * y[j], s * y[i] + c * y[j]
-        elif op == 2:
-            alpha = rng.uniform(tier.mix_low, tier.mix_high)
-            distractor = rng.standard_normal(d)
-            y = (1.0 - alpha) * y + alpha * distractor
-        else:
-            keep = rng.random(d) >= tier.dropout_prob
-            y *= keep
+    b, d = y.shape
+    order = np.argsort(rng.random((b, 4)), axis=1)
+    noise = rng.normal(0.0, tier.noise_sigma, (b, d))
+    npairs = d // 4
+    # Each row's disjoint coordinate pairs, as flat indices into y.
+    pairs = np.argsort(rng.random((b, d)), axis=1)[:, : 2 * npairs] + d * np.arange(b)[:, None]
+    first, second = pairs[:, :npairs], pairs[:, npairs:]
+    theta = rng.uniform(-tier.rotation_angle, tier.rotation_angle, (b, npairs))
+    cos, sin = np.cos(theta), np.sin(theta)
+    alpha = rng.uniform(tier.mix_low, tier.mix_high, (b, 1))
+    distractor = rng.standard_normal((b, d))
+    keep = rng.random((b, d)) >= tier.dropout_prob
+    flat = y.reshape(-1)
+    for step in order.T:
+        for op in range(4):
+            rows = np.flatnonzero(step == op)
+            if rows.size == 0:
+                continue
+            if op == 0:
+                y[rows] += noise[rows]
+            elif op == 1:
+                i, j = first[rows], second[rows]
+                yi, yj = flat[i], flat[j]
+                c, s = cos[rows], sin[rows]
+                flat[i] = c * yi - s * yj
+                flat[j] = s * yi + c * yj
+            elif op == 2:
+                y[rows] = (1.0 - alpha[rows]) * y[rows] + alpha[rows] * distractor[rows]
+            else:
+                y[rows] *= keep[rows]
     return y
+
+
+def augment_vector(v: np.ndarray, tier: AugmentTier, rng: np.random.Generator) -> np.ndarray:
+    """Transform one raw vector: :func:`augment_batch` on a one-row block."""
+    return augment_batch(np.asarray(v)[None, :], tier, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -134,7 +154,7 @@ def gen_world(
     if n_copy > n_ref:
         raise ValueError(f"{n_copy} copy queries need at least that many references")
     src = rng.choice(n_ref, size=n_copy, replace=False)
-    copies = np.stack([augment_vector(ref[s], tier_cfg, rng) for s in src]) if n_copy else np.empty((0, d_in))
+    copies = augment_batch(ref[src], tier_cfg, rng)
     distractors = rng.standard_normal((n_query - n_copy, d_in))
 
     # Interleave copies and distractors so consumers cannot rely on order.

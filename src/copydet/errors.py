@@ -27,3 +27,7 @@ class EmptyBatch(CopyDetError):
 
 class EmptyGroundTruth(CopyDetError):
     """Evaluation requested against a ground truth with no positive pairs."""
+
+
+class NonFiniteValue(CopyDetError):
+    """A computation produced NaN or infinity, as a diverging training step does."""

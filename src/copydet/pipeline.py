@@ -24,6 +24,7 @@ from .train import (
     LossConfig,
     MemoryBank,
     StageConfig,
+    config_from_dict,
     default_stage_schedule,
     run_stage,
 )
@@ -77,7 +78,7 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
-        return cls(**d)
+        return config_from_dict(cls, d, "manifest")
 
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -12,15 +12,16 @@ query/reference pairs as extra positives.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import TIERS, AugmentTier, SyntheticWorld, augment_vector, get_tier
+from .datagen import TIERS, AugmentTier, SyntheticWorld, augment_batch, get_tier
 from .embedding import ZERO_NORM, EmbeddingSet
-from .errors import EmptyBatch, FormatError, ShapeMismatch, ZeroVector
+from .errors import EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
 
 ENCODER_MAGIC = b"ISCW"
 ENCODER_VERSION = 1
@@ -56,9 +57,11 @@ class MemoryBank:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._emb = np.zeros((capacity, dim), dtype=np.float64)
+        self._sq_norms = np.zeros(capacity, dtype=np.float64)
         self._labels = np.zeros(capacity, dtype=np.int64)
         self._size = 0
         self._cursor = 0
+        self._scratch: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -76,11 +79,21 @@ class MemoryBank:
                 f"push of {emb.shape} embeddings / {labs.shape} labels into "
                 f"bank of dim {self.dim}"
             )
-        for row, lab in zip(emb, labs):
-            self._emb[self._cursor] = row
-            self._labels[self._cursor] = lab
-            self._cursor = (self._cursor + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
+        n = emb.shape[0]
+        # Of a push longer than the ring, only the newest `capacity` rows survive.
+        first = max(0, n - self.capacity)
+        slots = (self._cursor + np.arange(first, n)) % self.capacity
+        self._emb[slots] = emb[first:]
+        self._sq_norms[slots] = _sq_norms(emb[first:])
+        self._labels[slots] = labs[first:]
+        self._cursor = (self._cursor + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
+
+    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views, for reading, of the occupied slots in ring (storage) order:
+        embeddings, their squared norms and labels. No copy is made."""
+        n = self._size
+        return self._emb[:n], self._sq_norms[:n], self._labels[:n]
 
     def contents(self) -> tuple[np.ndarray, np.ndarray]:
         """Current entries oldest to newest."""
@@ -88,6 +101,28 @@ class MemoryBank:
             return self._emb[: self._size].copy(), self._labels[: self._size].copy()
         idx = (np.arange(self.capacity) + self._cursor) % self.capacity
         return self._emb[idx], self._labels[idx]
+
+    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised buffer of ``shape``, reused across calls per name.
+
+        The loss keeps its batch-by-bank temporaries here, so the training
+        loop does not page-fault a fresh multi-megabyte array every step.
+        Buffers grow geometrically while the bank fills.
+        """
+        size = math.prod(shape)
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            grown = 0 if buf is None or buf.dtype != dtype else 2 * buf.size
+            buf = self._scratch[name] = np.empty(max(size, grown), dtype)
+        return buf[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    return np.empty(shape, dtype)
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
 
 
 def contrastive_loss(
@@ -111,68 +146,57 @@ def contrastive_loss(
     b = E.shape[0]
     if b == 0:
         raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    if bank is not None and len(bank) > 0:
-        bank_e, bank_labs = bank.contents()
-    else:
-        bank_e = np.zeros((0, E.shape[1]))
-        bank_labs = np.zeros(0, dtype=np.int64)
+    bank_e, bank_sq, bank_labs = (
+        bank.live() if bank is not None else (E[:0], np.zeros(0), labs[:0])
+    )
     m = bank_e.shape[0]
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
+    buffer = bank._buffer if bank is not None else _fresh
+    X = buffer("rows", (b + m, E.shape[1]))
+    X[:b], X[b:] = E, bank_e
+    sq = np.concatenate((_sq_norms(E), bank_sq))
 
-    total = 0.0
-    grad = np.zeros_like(E)
+    # One b x (b+m) matrix of true Euclidean distances against [batch; bank]
+    # (not the unit-sphere shortcut), so the gradients stay exact for
+    # off-sphere probe points. -2E is exact, so the gemm yields -2 e.x.
+    dist = np.matmul(-2.0 * E, X.T, out=buffer("dist", (b, b + m)))
+    dist += sq[:b, None]
+    dist += sq
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    diag = np.arange(b)
+    dist[diag, diag] = 0.0
 
-    if b > 1:
-        dist = _pair_distances(E, E)
-        same = labs[:, None] == labs[None, :]
-        terms = np.where(
-            same,
-            np.maximum(0.0, dist - cfg.pos_margin),
-            np.maximum(0.0, cfg.neg_margin - dist),
-        )
-        iu = np.triu_indices(b, k=1)
-        total += terms[iu].sum()
-        w = _hinge_weights(dist, same, cfg) / num_pairs
-        # grad_i = sum_j w_ij (e_i - e_j), with w symmetric and zero diagonal
-        grad += w.sum(axis=1)[:, None] * E - w @ E
+    # Hinge argument: neg_margin - d on different-label pairs, patched to
+    # d - pos_margin on the few same-label ones.
+    mask = buffer("mask", (b, b + m), np.bool_)
+    X_labs = np.concatenate((labs, bank_labs))
+    positives = np.flatnonzero(np.equal(labs[:, None], X_labs, out=mask))
+    hinge = np.subtract(cfg.neg_margin, dist, out=buffer("hinge", (b, b + m)))
+    hinge.flat[positives] = dist.flat[positives] - cfg.pos_margin
+    active = np.greater(hinge, 0.0, out=mask)
 
-    if m > 0:
-        dist = _pair_distances(E, bank_e)
-        same = labs[:, None] == bank_labs[None, :]
-        terms = np.where(
-            same,
-            np.maximum(0.0, dist - cfg.pos_margin),
-            np.maximum(0.0, cfg.neg_margin - dist),
-        )
-        total += terms.sum()
-        w = _hinge_weights(dist, same, cfg) / num_pairs
-        grad += w.sum(axis=1)[:, None] * E - w @ bank_e
+    # Each active term contributes d(term)/d(dist) / dist as a
+    # vector-difference coefficient: w_ij = 1/d pushes e_i away from a
+    # negative x_j, -1/d pulls it toward a positive one, and
+    # grad_i = sum_j w_ij (x_j - e_i). Coincident pairs (dist ~ 0, the
+    # diagonal among them) take subgradient zero through an infinite
+    # divisor. The b x b block stays whole: each in-batch pair moves both
+    # of its rows.
+    dist[dist <= _GRAD_EPS] = np.inf
+    w = np.divide(active, dist, out=dist)
+    w.flat[positives] *= -1.0
+    grad = w @ X
+    grad -= w.sum(axis=1)[:, None] * E
+    grad /= num_pairs
 
+    # In-batch pairs count once, through the strict upper triangle of the
+    # b x b block; every (batch, bank) pair counts.
+    np.maximum(hinge, 0.0, out=hinge)
+    total = np.triu(hinge[:, :b], 1).sum() + hinge[:, b:].sum()
     return total / num_pairs, grad
-
-
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # True Euclidean distances (not the unit-sphere shortcut), so the
-    # returned gradients stay exact even for off-sphere probe points.
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.clip(sq, 0.0, None))
-
-
-def _hinge_weights(dist: np.ndarray, same: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    # d/d(dist) of each active term, divided by dist to turn the distance
-    # gradient into a vector-difference coefficient. Coincident pairs
-    # (dist ~ 0) take subgradient zero.
-    live = dist > _GRAD_EPS
-    w = np.zeros_like(dist)
-    w[same & (dist > cfg.pos_margin) & live] = 1.0
-    w[~same & (dist < cfg.neg_margin) & live] = -1.0
-    return np.divide(w, dist, out=w, where=live)
 
 
 def sgd_momentum_step(
@@ -256,7 +280,11 @@ class Encoder:
         else:
             w1, b1 = self.layers[0]
             z = x @ w1 + b1
-        norms = np.linalg.norm(z, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(z, axis=1)
+        # An overflowing norm would silently turn z / norms into zeros.
+        if not np.all(np.isfinite(norms)):
+            raise NonFiniteValue("encoder produced a non-finite descriptor norm")
         if np.any(norms < ZERO_NORM):
             raise ZeroVector("encoder produced a zero descriptor")
         e = z / norms[:, None]
@@ -341,17 +369,19 @@ def encoder_loss_and_grads(
 def make_positive_pair(
     source: np.ndarray, tier: AugmentTier, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Two views of one raw item: a tier-strength transform and a weak one.
+    """Two views of a raw item, or of every row of a (B, d) block: a
+    tier-strength transform and a weak one.
 
-    Both views carry the item's identity. The "none" tier returns the
-    source unchanged twice.
+    Each view is one :func:`augment_batch` call over the whole block, the
+    tier-strength view first. The "none" tier returns the source unchanged
+    twice and consumes no randomness.
     """
-    if tier.name == "none":
-        src = np.asarray(source, dtype=np.float64)
-        return src.copy(), src.copy()
-    view_a = augment_vector(source, tier, rng)
-    view_b = augment_vector(source, TIERS["weak"], rng)
-    return view_a, view_b
+    src = np.asarray(source, dtype=np.float64)
+    block = np.atleast_2d(src)
+    weak = tier if tier.name == "none" else TIERS["weak"]
+    view_a = augment_batch(block, tier, rng)
+    view_b = augment_batch(block, weak, rng)
+    return view_a.reshape(src.shape), view_b.reshape(src.shape)
 
 
 @dataclass
@@ -378,7 +408,28 @@ class StageConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageConfig":
-        return cls(**d)
+        return config_from_dict(cls, d, "stage")
+
+
+def config_from_dict(cls, d: dict, what: str):
+    """Build the dataclass ``cls`` from a mapping read from a file.
+
+    Unknown and missing fields raise ValueError naming them, so a bad
+    config file ends in a one-line message instead of a TypeError.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise ValueError(f"unknown {what} field(s): {', '.join(unknown)}")
+    missing = sorted(
+        f.name for f in fields(cls)
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING
+    )
+    if missing:
+        raise ValueError(f"missing {what} field(s): {', '.join(missing)}")
+    return cls(**d)
 
 
 def default_stage_schedule() -> list[StageConfig]:
@@ -424,37 +475,38 @@ def run_stage(
     n_train, n_ref = train_raw.shape[0], ref_raw.shape[0]
     qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
     rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
-    gt_idx = [(qpos[q], rpos[r]) for q, r in world.gt]
+    gt_idx = np.array([(qpos[q], rpos[r]) for q, r in world.gt], dtype=np.int64).reshape(-1, 2)
 
     state: list[np.ndarray] | None = None
     epoch_losses: list[float] = []
-    for _ in range(stage.epochs):
+    for epoch in range(stage.epochs):
         order = rng.permutation(n_train)
         batch_losses: list[float] = []
-        for start in range(0, n_train, stage.batch_size):
-            rows: list[np.ndarray] = []
-            labels: list[int] = []
-            for t in order[start : start + stage.batch_size]:
-                view_a, view_b = make_positive_pair(train_raw[t], tier, rng)
-                rows += [view_a, view_b]
-                labels += [int(t), int(t)]
+        for batch, start in enumerate(range(0, n_train, stage.batch_size)):
+            items = order[start : start + stage.batch_size]
+            view_a, view_b = make_positive_pair(train_raw[items], tier, rng)
+            blocks = [view_a, view_b]
+            labels = [items, items]
             if stage.include_reference_negatives:
-                for ri in rng.choice(n_ref, size=min(stage.ref_per_batch, n_ref), replace=False):
-                    rows.append(ref_raw[ri])
-                    labels.append(n_train + int(ri))
-            if stage.include_gt_positives and gt_idx:
+                refs = rng.choice(n_ref, size=min(stage.ref_per_batch, n_ref), replace=False)
+                blocks.append(ref_raw[refs])
+                labels.append(n_train + refs)
+            if stage.include_gt_positives and len(gt_idx):
                 picks = rng.choice(len(gt_idx), size=min(stage.gt_per_batch, len(gt_idx)), replace=False)
-                for gi in picks:
-                    qi, ri = gt_idx[gi]
-                    rows.append(query_raw[qi])
-                    labels.append(n_train + ri)
-                    rows.append(ref_raw[ri])
-                    labels.append(n_train + ri)
-            loss, grads, emb = encoder_loss_and_grads(
-                encoder, np.stack(rows), np.asarray(labels), bank, loss_cfg
-            )
+                qi, ri = gt_idx[picks].T
+                blocks += [query_raw[qi], ref_raw[ri]]
+                labels += [n_train + ri, n_train + ri]
+            x, y = np.concatenate(blocks), np.concatenate(labels)
+            try:
+                loss, grads, emb = encoder_loss_and_grads(encoder, x, y, bank, loss_cfg)
+                if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):
+                    raise NonFiniteValue(f"non-finite loss or gradient (loss {loss})")
+            except NonFiniteValue as exc:
+                raise NonFiniteValue(
+                    f"stage {stage.index}, epoch {epoch + 1}, batch {batch + 1}: {exc}"
+                ) from None
             state = sgd_momentum_step(encoder.params(), grads, state, stage.lr, momentum)
-            bank.push(emb, np.asarray(labels))
+            bank.push(emb, y)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     return encoder, {

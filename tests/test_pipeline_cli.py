@@ -54,6 +54,18 @@ class TestManifest:
         assert back.hash() == m.hash()
         assert all(isinstance(s, StageConfig) for s in back.stages)
 
+    def test_unknown_and_missing_fields_rejected(self, tmp_path):
+        d = json.loads(tiny_manifest(tmp_path).to_json())
+        with pytest.raises(ValueError, match=r"unknown manifest field\(s\): bogus, extra"):
+            RunManifest.from_dict({**d, "bogus": 1, "extra": 2})
+        del d["seed"]
+        with pytest.raises(ValueError, match=r"missing manifest field\(s\): seed"):
+            RunManifest.from_dict(d)
+        with pytest.raises(ValueError, match=r"missing stage field\(s\): tier"):
+            StageConfig.from_dict({"index": 1})
+        with pytest.raises(ValueError, match="stage must be a JSON object"):
+            StageConfig.from_dict([1, "weak"])
+
     def test_bad_targets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="postprocess_targets"):
             tiny_manifest(tmp_path, postprocess_targets="everything")
@@ -256,6 +268,28 @@ class TestCli:
             "--out", str(tmp_path / "o.emb"),
         ])
         assert rc == 1
+
+    def _trend_with_stages(self, tmp_path, stages):
+        path = tmp_path / "stages.json"
+        path.write_text(json.dumps(stages))
+        return main([
+            "reproduce-trend", "--seed", "5", "--out-dir", str(tmp_path / "run"),
+            "--n-train", "64", "--n-ref", "64", "--n-query", "32", "--dim", "8",
+            "--encoder-dim", "4", "--bank-capacity", "128", "--stages", str(path),
+        ])
+
+    def test_unknown_stage_field_exit_1(self, tmp_path, capsys):
+        rc = self._trend_with_stages(tmp_path, [dict(index=1, tier="weak", bogus=1)])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: unknown stage field(s): bogus\n"
+
+    def test_non_finite_step_exit_1(self, tmp_path, capsys):
+        stage = dict(index=1, tier="weak", epochs=1, lr=1e308, batch_size=16)
+        rc = self._trend_with_stages(tmp_path, [stage])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("copydet: stage 1, epoch 1, batch ")
+        assert "non-finite" in err and err.count("\n") == 1
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as exc:

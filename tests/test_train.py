@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import copydet.train
 from copydet import (
     TIERS,
+    AugmentTier,
     EmptyBatch,
     Encoder,
     FormatError,
     LossConfig,
     MemoryBank,
+    NonFiniteValue,
     ShapeMismatch,
     StageConfig,
+    augment_batch,
     augment_vector,
     contrastive_loss,
     encoder_loss_and_grads,
@@ -62,6 +68,116 @@ def assert_grads_close(analytic, fd, rtol=1e-4, floor=1e-8):
             continue
         rel = np.abs(a - f) / np.maximum(np.abs(a), np.abs(f))
         assert rel[mask].max() < rtol, f"worst relative error {rel[mask].max():.3e}"
+
+
+def _pair_distances(a, b):
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def _hinge_weights(dist, same, cfg):
+    live = dist > 1e-12
+    w = np.zeros_like(dist)
+    w[same & (dist > cfg.pos_margin) & live] = 1.0
+    w[~same & (dist < cfg.neg_margin) & live] = -1.0
+    return np.divide(w, dist, out=w, where=live)
+
+
+def reference_contrastive_loss(embeddings, labels, bank, cfg):
+    """The former two-pass loss, kept as the oracle for the fused one.
+
+    In-batch and bank pairs go through separate distance, term and weight
+    passes, with the bank read oldest to newest through ``contents()``.
+    One change from the former library version: the diagonal of the in-batch
+    weights is zeroed. A row is no pair of itself, but its round-off
+    distance (~1e-8) passed the coincidence threshold and added
+    cancellation noise of up to ~1e-9 to its gradient.
+    """
+    E = np.asarray(embeddings, dtype=np.float64)
+    labs = np.asarray(labels)
+    b = E.shape[0]
+    if bank is not None and len(bank) > 0:
+        bank_e, bank_labs = bank.contents()
+    else:
+        bank_e = np.zeros((0, E.shape[1]))
+        bank_labs = np.zeros(0, dtype=np.int64)
+    m = bank_e.shape[0]
+    num_pairs = b * (b - 1) // 2 + b * m
+    if num_pairs == 0:
+        return 0.0, np.zeros_like(E)
+    total = 0.0
+    grad = np.zeros_like(E)
+    if b > 1:
+        dist = _pair_distances(E, E)
+        same = labs[:, None] == labs[None, :]
+        terms = np.where(
+            same,
+            np.maximum(0.0, dist - cfg.pos_margin),
+            np.maximum(0.0, cfg.neg_margin - dist),
+        )
+        total += terms[np.triu_indices(b, k=1)].sum()
+        w = _hinge_weights(dist, same, cfg) / num_pairs
+        np.fill_diagonal(w, 0.0)
+        grad += w.sum(axis=1)[:, None] * E - w @ E
+    if m > 0:
+        dist = _pair_distances(E, bank_e)
+        same = labs[:, None] == bank_labs[None, :]
+        terms = np.where(
+            same,
+            np.maximum(0.0, dist - cfg.pos_margin),
+            np.maximum(0.0, cfg.neg_margin - dist),
+        )
+        total += terms.sum()
+        w = _hinge_weights(dist, same, cfg) / num_pairs
+        grad += w.sum(axis=1)[:, None] * E - w @ bank_e
+    return total / num_pairs, grad
+
+
+def dyadic_rows(rng, count, dim):
+    """Rows on a 1/8 grid: norms, dot products and so the squared distance
+    of duplicate rows come out exact, 0, in any summation order."""
+    return rng.integers(-8, 9, size=(count, dim)) / 8.0
+
+
+class TestFusedLossMatchesReference:
+    @pytest.mark.parametrize("bank_state", ["none", "empty", "partial", "wrapped"])
+    @pytest.mark.parametrize("duplicates", ["none", "same_label", "other_label", "bank_row"])
+    def test_random_cases_within_1e_12(self, bank_state, duplicates):
+        rng = np.random.default_rng(["none", "empty", "partial", "wrapped"].index(bank_state))
+        capacity, dim = 12, 5
+        for trial in range(25):
+            b = 1 if trial % 5 == 0 else int(rng.integers(2, 10))
+            draw = unit_rows if duplicates == "none" else dyadic_rows
+            emb = draw(rng, b, dim)
+            if trial % 3 == 1:
+                emb = emb * (rng.integers(2, 25, size=(b, 1)) / 8.0)  # off the sphere
+            labels = rng.integers(0, 4, size=b)
+            bank = None
+            if bank_state != "none":
+                bank = MemoryBank(capacity, dim)
+                fill = {"empty": 0, "partial": capacity // 2, "wrapped": 2 * capacity + 3}
+                for chunk in np.array_split(np.arange(fill[bank_state]), 3):
+                    if len(chunk):
+                        bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
+            if duplicates in ("same_label", "other_label") and b > 1:
+                emb[1] = emb[0]
+                labels[1] = labels[0] + (duplicates == "other_label")
+            if duplicates == "bank_row" and bank is not None and len(bank):
+                bank_rows, bank_labels = bank.contents()
+                emb[0] = bank_rows[-1]
+                labels[0] = bank_labels[-1] + trial % 2
+            cfg = LossConfig()
+            if trial % 2:
+                cfg = LossConfig(pos_margin=float(rng.uniform(0.0, 0.4)),
+                                 neg_margin=float(rng.uniform(0.5, 2.0)))
+            loss, grad = contrastive_loss(emb, labels, bank, cfg)
+            ref_loss, ref_grad = reference_contrastive_loss(emb, labels, bank, cfg)
+            assert abs(loss - ref_loss) <= 1e-12
+            assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
 
 
 class TestContrastiveLoss:
@@ -167,6 +283,28 @@ class TestMemoryBank:
             emb, labs = bank.contents()
             np.testing.assert_array_equal(labs, [l for _, l in oracle])
             np.testing.assert_array_equal(emb, np.stack([r for r, _ in oracle]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+    )
+    def test_pushes_past_capacity_match_ring_oracle(self, capacity, sizes):
+        bank = MemoryBank(capacity, 2)
+        oracle: list[int] = []
+        for size in sizes:
+            labels = np.arange(len(oracle), len(oracle) + size)
+            # Row r carries label r, so rows and labels check each other.
+            bank.push(labels[:, None] * np.array([1.0, -0.5]), labels)
+            oracle += labels.tolist()
+            expected = oracle[-capacity:]
+            emb, labs = bank.contents()
+            assert labs.tolist() == expected
+            np.testing.assert_array_equal(emb, labs[:, None] * np.array([1.0, -0.5]))
+            live_emb, live_sq, live_labs = bank.live()
+            assert sorted(live_labs.tolist()) == sorted(expected)
+            np.testing.assert_array_equal(live_emb, live_labs[:, None] * np.array([1.0, -0.5]))
+            np.testing.assert_array_equal(live_sq, np.einsum("ij,ij->i", live_emb, live_emb))
 
     def test_push_shape_mismatch(self):
         bank = MemoryBank(4, 3)
@@ -310,6 +448,58 @@ class TestMakePositivePair:
         np.testing.assert_array_equal(b, augment_vector(src, TIERS["weak"], oracle_rng))
 
 
+class TestAugmentBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 40),
+        tier=st.sampled_from(["weak", "intermediate", "strong"]),
+    )
+    def test_single_row_equals_augment_vector(self, seed, dim, tier):
+        v = np.random.default_rng(seed).standard_normal(dim)
+        block = augment_batch(v[None, :], TIERS[tier], np.random.default_rng(seed))
+        single = augment_vector(v, TIERS[tier], np.random.default_rng(seed))
+        np.testing.assert_array_equal(block[0], single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 20),
+        dim=st.integers(1, 40),
+        angle=st.floats(0.01, 3.0),
+    )
+    def test_rotation_only_tier_preserves_row_norms(self, seed, rows, dim, angle):
+        rotation = AugmentTier("rotation", 0.0, angle, 0.0, 0.0, 0.0)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, dim))
+        y = augment_batch(x, rotation, rng)
+        np.testing.assert_allclose(
+            np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), rtol=1e-12
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 8), dim=st.integers(1, 16))
+    def test_none_tier_copies_and_leaves_rng_untouched(self, seed, rows, dim):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, dim))
+        before = rng.bit_generator.state
+        y = augment_batch(x, TIERS["none"], rng)
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(y, x)
+        assert not np.shares_memory(y, x)
+
+    def test_block_views_are_one_call_per_view(self):
+        block = np.random.default_rng(1).standard_normal((6, 8))
+        a, b = make_positive_pair(block, TIERS["strong"], np.random.default_rng(2))
+        oracle_rng = np.random.default_rng(2)
+        np.testing.assert_array_equal(a, augment_batch(block, TIERS["strong"], oracle_rng))
+        np.testing.assert_array_equal(b, augment_batch(block, TIERS["weak"], oracle_rng))
+
+    def test_rejects_non_block_input(self):
+        with pytest.raises(ValueError, match="block"):
+            augment_batch(np.zeros(4), TIERS["weak"], np.random.default_rng(0))
+
+
 class TestRunStage:
     def _world(self):
         return gen_world(seed=21, n_train=64, n_ref=64, n_query=16, d_in=8, copy_rate=0.5)
@@ -348,6 +538,25 @@ class TestRunStage:
         bank = MemoryBank(2048, 4)
         run_stage(enc, world, StageConfig(index=1, tier="weak", epochs=1), bank, rng)
         assert len(bank) == 2 * 64  # two views per training item
+
+    def test_non_finite_step_names_stage_epoch_batch(self, monkeypatch):
+        world = self._world()
+        rng = substream(6, "train")
+        enc = Encoder.init(8, 4, rng=rng)
+        real = copydet.train.encoder_loss_and_grads
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            loss, grads, emb = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads[0][0, 0] = np.nan
+            return loss, grads, emb
+
+        monkeypatch.setattr(copydet.train, "encoder_loss_and_grads", poisoned)
+        stage = StageConfig(index=2, tier="weak", epochs=1, batch_size=16)
+        with pytest.raises(NonFiniteValue, match="stage 2, epoch 1, batch 3: non-finite loss or gradient"):
+            run_stage(enc, world, stage, MemoryBank(64, 4), rng)
 
     def test_stage_flags_add_rows(self):
         world = self._world()
