@@ -9,7 +9,14 @@ import sys
 from .datagen import TIER_NAMES, gen_world, load_world, substream, write_world
 from .embedding import read_embeddings, write_embeddings
 from .errors import CopyDetError, FormatError
-from .metrics import micro_ap, read_gt_csv, read_matches_tsv, recall_at_precision, write_matches_tsv
+from .metrics import (
+    match_candidates,
+    micro_ap,
+    read_gt_csv,
+    read_matches_tsv,
+    recall_at_precision,
+    write_matches_tsv,
+)
 from .pipeline import (
     POSTPROCESS_TARGETS,
     RunManifest,
@@ -18,7 +25,6 @@ from .pipeline import (
     reproduce_trend,
 )
 from .postprocess import NegSubConfig, subtract_negatives_batch
-from .search import topk_batch
 from .train import Encoder, MemoryBank, StageConfig, default_stage_schedule, run_stage
 
 
@@ -87,12 +93,7 @@ def _cmd_postprocess(args) -> int:
 def _cmd_search(args) -> int:
     queries = read_embeddings(args.queries)
     db = read_embeddings(args.db)
-    hits = topk_batch(queries, db, args.k)
-    rows = (
-        (queries.ids[qi], db.ids[nb.index], nb.score)
-        for qi, per_query in enumerate(hits)
-        for nb in per_query
-    )
+    rows = match_candidates(queries, db, args.k)
     if args.out:
         write_matches_tsv(args.out, rows)
     else:

@@ -7,6 +7,7 @@ in the toolkit runs in float64.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,9 +44,30 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _check_id(s: str) -> str:
-    if not s or "\n" in s or "\r" in s:
+    # Any line boundary str.splitlines knows (not only \n and \r) would
+    # split the id in two when the sidecar is read back.
+    if s.splitlines() != [s]:
         raise ValueError(f"invalid id {s!r}: ids must be non-empty, single-line")
     return s
+
+
+def write_bytes_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file and ``os.replace``.
+
+    The temporary file sits in the target's directory, so the rename is
+    atomic: a reader, or a run that dies mid-write, sees the old file or
+    the new one, never a partial one. The temporary file is removed if
+    anything fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -114,15 +136,16 @@ def write_embeddings(es: EmbeddingSet, path: str | Path) -> None:
 
     Layout (little-endian): magic ``ISCE``, version u32 (1 unit-norm,
     2 raw), dim u32, count u64, then count*dim float32 row-major. The
-    sidecar holds one id per line, same order, UTF-8.
+    sidecar holds one id per line, same order, UTF-8. Each file is
+    replaced atomically, the sidecar first.
     """
     path = Path(path)
     version = VERSION_UNIT if es.unit_norm else VERSION_RAW
     header = _HEADER.pack(MAGIC, version, es.dim, es.count)
     payload = np.ascontiguousarray(es.matrix, dtype="<f4").tobytes()
-    path.write_bytes(header + payload)
     ids_text = "".join(s + "\n" for s in es.ids)
-    _ids_path(path).write_bytes(ids_text.encode("utf-8"))
+    write_bytes_atomic(_ids_path(path), ids_text.encode("utf-8"))
+    write_bytes_atomic(path, header + payload)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
@@ -160,7 +183,15 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     ids_file = _ids_path(path)
     if not ids_file.exists():
         raise FormatError(f"{ids_file}: id sidecar missing")
-    lines = ids_file.read_bytes().decode("utf-8").splitlines()
+    try:
+        text = ids_file.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{ids_file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    # Every id line ends in a newline, so a truncated sidecar either loses
+    # a line or its final newline.
+    if text and not text.endswith("\n"):
+        raise FormatError(f"{ids_file}: last id line has no newline (truncated?)")
+    lines = text.splitlines()
     if len(lines) != count:
         raise FormatError(
             f"{ids_file}: {len(lines)} id lines, header implies {count}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .embedding import EmbeddingSet
+from .embedding import EmbeddingSet, write_bytes_atomic
 from .errors import EmptyGroundTruth, FormatError
 from .search import topk_batch
 
@@ -119,16 +119,23 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
     return best
 
 
+def match_candidates(
+    queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int
+) -> list[Candidate]:
+    """Top ``per_query_k`` references per query as (query_id, reference_id, score), in query order."""
+    hits = topk_batch(queries, references, per_query_k)
+    return [
+        (queries.ids[qi], references.ids[nb.index], nb.score)
+        for qi, per_query in enumerate(hits)
+        for nb in per_query
+    ]
+
+
 def build_candidates(
     queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int = 1
 ) -> RankedMatches:
     """Top ``per_query_k`` references per query, merged into one global ranking."""
-    hits = topk_batch(queries, references, per_query_k)
-    return RankedMatches.from_candidates(
-        (queries.ids[qi], references.ids[nb.index], nb.score)
-        for qi, per_query in enumerate(hits)
-        for nb in per_query
-    )
+    return RankedMatches.from_candidates(match_candidates(queries, references, per_query_k))
 
 
 def write_matches_tsv(
@@ -137,13 +144,13 @@ def write_matches_tsv(
     """Write ``query_id<TAB>reference_id<TAB>score`` lines.
 
     Scores use shortest round-trip float formatting so a reload ranks
-    identically.
+    identically. A path is replaced atomically.
     """
     lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in candidates)
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(lines)
     else:
-        Path(path_or_handle).write_text(lines, encoding="utf-8")
+        write_bytes_atomic(path_or_handle, lines.encode("utf-8"))
 
 
 def read_matches_tsv(path: str | Path) -> RankedMatches:

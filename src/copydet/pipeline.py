@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import SyntheticWorld, gen_world, substream, write_world
-from .embedding import EmbeddingSet, write_embeddings
+from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
 from .metrics import GroundTruth, build_candidates, micro_ap, recall_at_precision
 from .postprocess import NegSubConfig, subtract_negatives_batch
 from .train import (
@@ -213,9 +213,9 @@ def reproduce_trend(manifest: RunManifest) -> dict:
     write_embeddings(post_q, emb_dir / "queries_post.emb")
     if manifest.postprocess_targets in ("references", "both"):
         write_embeddings(post_r, emb_dir / "reference_post.emb")
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
-    (out / "report.json").write_text(render_report_json(report), encoding="utf-8")
-    (out / "report.txt").write_text(format_trend_table(report), encoding="utf-8")
+    write_bytes_atomic(out / "manifest.json", manifest.to_json().encode("utf-8"))
+    write_bytes_atomic(out / "report.json", render_report_json(report).encode("utf-8"))
+    write_bytes_atomic(out / "report.txt", format_trend_table(report).encode("utf-8"))
     return report
 
 
@@ -254,8 +254,8 @@ def negative_swap(manifest: RunManifest) -> dict:
     }
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
-    (out / "report.json").write_text(render_report_json(report), encoding="utf-8")
+    write_bytes_atomic(out / "manifest.json", manifest.to_json().encode("utf-8"))
+    write_bytes_atomic(out / "report.json", render_report_json(report).encode("utf-8"))
     return report
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import ZERO_NORM, EmbeddingSet
 from .errors import DimMismatch, ZeroVector
-from .search import topk
+from .search import row_blocks, select_topk
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,42 @@ class NegSubConfig:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
 
+def _subtract_rows(
+    y: np.ndarray, negatives: EmbeddingSet, cfg: NegSubConfig, ids=None
+) -> np.ndarray:
+    """Run the iterations in place on the float64 rows of ``y``, block by block.
+
+    Per iteration and block: one gemm against the pool, one top-k selection,
+    then the k subtractions in rank order, so each row sees the same float
+    sequence as a one-row run. ``ids`` name the rows in errors.
+    """
+    if y.shape[1] != negatives.dim:
+        raise DimMismatch(f"descriptor dim {y.shape[1]} != negatives dim {negatives.dim}")
+    if y.shape[0] == 0:
+        return y
+    if negatives.count < 1:
+        raise ValueError("negatives set is empty")
+    neg = negatives.matrix.astype(np.float64)
+    # Pools smaller than k under-subtract: the scale stays beta / requested k.
+    scale = cfg.beta / cfg.k
+    m = min(cfg.k, negatives.count)
+    for block in row_blocks(y.shape[0], negatives.count):
+        rows = y[block]
+        for _ in range(cfg.n):
+            idx = select_topk(rows @ neg.T, m)
+            for j in range(m):
+                rows -= scale * neg[idx[:, j]]
+            norms = np.linalg.norm(rows, axis=1)
+            bad = np.flatnonzero(norms < ZERO_NORM)
+            if bad.size:
+                msg = f"subtraction annihilated the descriptor (norm {norms[bad[0]]:.3e})"
+                if ids is not None:
+                    msg = f"target {ids[block.start + bad[0]]!r}: {msg}"
+                raise ZeroVector(msg)
+            rows /= norms[:, None]
+    return y
+
+
 def subtract_negatives(
     x: np.ndarray, negatives: EmbeddingSet, cfg: NegSubConfig
 ) -> np.ndarray:
@@ -45,25 +81,10 @@ def subtract_negatives(
     ZeroVector if a subtraction annihilates the vector, which signals a
     pathological beta/negatives combination.
     """
-    y = np.asarray(x, dtype=np.float64).copy()
+    y = np.asarray(x, dtype=np.float64)
     if y.ndim != 1:
         raise DimMismatch(f"expected a 1-d descriptor, got shape {y.shape}")
-    if y.shape[0] != negatives.dim:
-        raise DimMismatch(f"descriptor dim {y.shape[0]} != negatives dim {negatives.dim}")
-    if negatives.count < 1:
-        raise ValueError("negatives set is empty")
-    # Pools smaller than k under-subtract: the scale stays beta / requested k.
-    scale = cfg.beta / cfg.k
-    for _ in range(cfg.n):
-        for nb in topk(y, negatives, cfg.k):
-            y -= scale * negatives.row(nb.index)
-        norm = float(np.linalg.norm(y))
-        if norm < ZERO_NORM:
-            raise ZeroVector(
-                f"subtraction annihilated the descriptor (norm {norm:.3e})"
-            )
-        y /= norm
-    return y
+    return _subtract_rows(y[None, :].copy(), negatives, cfg)[0]
 
 
 def subtract_negatives_batch(
@@ -77,10 +98,5 @@ def subtract_negatives_batch(
     """
     if targets.dim != negatives.dim:
         raise DimMismatch(f"targets dim {targets.dim} != negatives dim {negatives.dim}")
-    rows = np.empty((targets.count, targets.dim), dtype=np.float32)
-    for i in range(targets.count):
-        try:
-            rows[i] = subtract_negatives(targets.row(i), negatives, cfg)
-        except ZeroVector as exc:
-            raise ZeroVector(f"target {targets.ids[i]!r}: {exc}") from exc
-    return EmbeddingSet(targets.ids, rows, unit_norm=True)
+    rows = _subtract_rows(targets.matrix.astype(np.float64), negatives, cfg, targets.ids)
+    return EmbeddingSet(targets.ids, rows.astype(np.float32), unit_norm=True)

@@ -4,16 +4,26 @@ For unit-norm vectors the inner product equals cosine similarity and is
 monotone in negative Euclidean distance, so one metric serves matching,
 post-processing, and evaluation. No approximate structures: results are
 exact and deterministic, with ties broken by ascending database index.
+
+Queries are scored in row blocks, one gemm per block, so memory stays
+bounded by the block size however many queries there are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .embedding import EmbeddingSet
 from .errors import DimMismatch
+
+# Cap on one float64 score block. A block and its argpartition indices
+# then take about 2 MiB whatever the query count, and at 8192 database
+# rows a block still holds 16 queries, so the per-block Python cost stays
+# small next to the gemm and the selection.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -22,6 +32,39 @@ class Neighbor:
 
     index: int
     score: float
+
+
+def row_blocks(rows: int, n: int) -> Iterator[slice]:
+    """Slices over ``rows`` query rows whose (rows, n) float64 scores fit one block."""
+    step = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
+def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
+    """Column indices of each row's ``m`` largest scores, shape (B, m).
+
+    Each row is ordered by score descending, ties by ascending column, so
+    the result equals a full sort of the row. Requires 1 <= m <= n.
+    """
+    b, n = scores.shape
+    if m == n:
+        cand = np.broadcast_to(np.arange(n), (b, n))
+    else:
+        # The m largest per row, in arbitrary order; index-sorted so the
+        # stable sort below breaks score ties by ascending index.
+        cand = np.sort(np.argpartition(scores, n - m, axis=1)[:, n - m:], axis=1)
+    top = np.take_along_axis(scores, cand, axis=1)
+    idx = np.take_along_axis(cand, np.argsort(-top, axis=1, kind="stable"), axis=1)
+    if m < n:
+        # Where more scores tie with the m-th than fit, argpartition chose
+        # among them arbitrarily: widen those rows to every tied score.
+        kth = top.min(axis=1)
+        for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > m):
+            s = scores[r]
+            wide = np.flatnonzero(s >= kth[r])
+            idx[r] = wide[np.lexsort((wide, -s[wide]))[:m]]
+    return idx
 
 
 def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> list[list[Neighbor]]:
@@ -33,23 +76,17 @@ def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> list[list[Nei
     if queries.shape[0] == 0 or n == 0:
         return [[] for _ in range(queries.shape[0])]
 
-    # Scores in float64; one gemm for the whole batch.
-    scores = db.matrix.astype(np.float64) @ queries.astype(np.float64).T
+    db64 = db.matrix.astype(np.float64)
     m = min(k, n)
     out: list[list[Neighbor]] = []
-    for col in range(queries.shape[0]):
-        s = scores[:, col]
-        if m == n:
-            cand = np.arange(n)
-        else:
-            # Partial selection, then widen to every score tied with the
-            # m-th largest so the index tie-break stays exact.
-            part = np.argpartition(-s, m - 1)[:m]
-            kth = s[part].min()
-            cand = np.flatnonzero(s >= kth)
-        order = np.lexsort((cand, -s[cand]))[:m]
-        chosen = cand[order]
-        out.append([Neighbor(int(i), float(s[i])) for i in chosen])
+    for block in row_blocks(queries.shape[0], n):
+        scores = queries[block] @ db64.T
+        idx = select_topk(scores, m)
+        top = np.take_along_axis(scores, idx, axis=1)
+        out.extend(
+            [Neighbor(i, s) for i, s in zip(row_idx, row_top)]
+            for row_idx, row_top in zip(idx.tolist(), top.tolist())
+        )
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import TIERS, AugmentTier, SyntheticWorld, augment_batch, get_tier
-from .embedding import ZERO_NORM, EmbeddingSet
+from .embedding import ZERO_NORM, EmbeddingSet, write_bytes_atomic
 from .errors import EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
 
 ENCODER_MAGIC = b"ISCW"
@@ -318,7 +318,7 @@ class Encoder:
             parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
             parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
             parts.append(np.ascontiguousarray(b_, dtype="<f4").tobytes())
-        Path(path).write_bytes(b"".join(parts))
+        write_bytes_atomic(path, b"".join(parts))
 
     @classmethod
     def load(cls, path: str | Path) -> "Encoder":
@@ -347,7 +347,10 @@ class Encoder:
             layers.append((w.astype(np.float64), b_.astype(np.float64)))
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
-        return cls(layers)
+        try:
+            return cls(layers)
+        except ShapeMismatch as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def encoder_loss_and_grads(

@@ -1,14 +1,26 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from copydet import (
     DimMismatch,
     EmbeddingSet,
+    Encoder,
     FormatError,
     ZeroVector,
     normalize,
     read_embeddings,
     write_embeddings,
+    write_matches_tsv,
+)
+
+# Each example overwrites the same files, so sharing tmp_path is safe.
+_FILE_PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 
@@ -184,3 +196,98 @@ class TestSerialization:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             read_embeddings(path)
+
+    def test_sidecar_not_utf8(self, tmp_path):
+        path = tmp_path / "enc.emb"
+        write_embeddings(_random_unit_set(np.random.default_rng(6), 1, 2), path)
+        path.with_suffix(".ids").write_bytes(b"\xff\n")
+        with pytest.raises(FormatError, match=r"enc\.ids: not UTF-8"):
+            read_embeddings(path)
+
+    def test_ids_with_any_line_boundary_rejected(self):
+        for bad in ("a\x85b", "a\u2028b", "a\x0bb", "a\x1cb"):
+            with pytest.raises(ValueError, match="single-line"):
+                EmbeddingSet((bad,), np.ones((1, 2), dtype=np.float32), unit_norm=False)
+
+
+_ids = st.text(min_size=1, max_size=12).filter(lambda s: s.splitlines() == [s])
+
+
+@st.composite
+def _raw_sets(draw):
+    count = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 5))
+    ids = draw(st.lists(_ids, min_size=count, max_size=count, unique=True))
+    # Every finite float32, subnormals and -0.0 included.
+    mat = draw(hnp.arrays(np.float32, (count, dim), elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    return EmbeddingSet(tuple(ids), mat, unit_norm=False)
+
+
+class TestSerializationProperties:
+    @_FILE_PROPERTY
+    @given(_raw_sets())
+    def test_round_trip_bit_exact(self, tmp_path, es):
+        path = tmp_path / "set.emb"
+        write_embeddings(es, path)
+        got = read_embeddings(path)
+        assert got.ids == es.ids and not got.unit_norm
+        assert got.matrix.shape == es.matrix.shape
+        assert got.matrix.tobytes() == es.matrix.tobytes()
+
+    @_FILE_PROPERTY
+    @given(st.binary(max_size=80), st.binary(max_size=20))
+    def test_arbitrary_bytes_raise_only_format_errors(self, tmp_path, blob, ids):
+        path = tmp_path / "any.emb"
+        path.write_bytes(blob)
+        path.with_suffix(".ids").write_bytes(ids)
+        try:
+            read_embeddings(path)
+        except (FormatError, DimMismatch):
+            pass
+
+    @_FILE_PROPERTY
+    @given(_raw_sets(), st.data())
+    def test_truncation_raises_only_format_errors(self, tmp_path, es, data):
+        path = tmp_path / "cut.emb"
+        write_embeddings(es, path)
+        victim = data.draw(st.sampled_from([path, path.with_suffix(".ids")]))
+        blob = victim.read_bytes()
+        if not blob:
+            return
+        victim.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises((FormatError, DimMismatch)):
+            read_embeddings(path)
+
+
+def _write_tsv(path, v):
+    write_matches_tsv(path, [("q", "r", v)])
+
+
+def _write_emb(path, v):
+    write_embeddings(EmbeddingSet((f"id{v}",), np.full((1, 2), v, dtype=np.float32), unit_norm=False), path)
+
+
+def _write_encoder(path, v):
+    Encoder.init(3, 2, rng=np.random.default_rng(v)).save(path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("write", [_write_emb, _write_encoder, _write_tsv])
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact.out"
+        write(path, 1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_overwrite_leaves_only_targets(self, tmp_path):
+        path = tmp_path / "set.emb"
+        _write_emb(path, 1)
+        _write_emb(path, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["set.emb", "set.ids"]

@@ -258,6 +258,15 @@ class TestCli:
         rc = main(["search", "--queries", str(bad), "--db", str(bad)])
         assert rc == 2
 
+    def test_undecodable_sidecar_exit_2(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        queries = tmp_path / "world" / "queries.emb"
+        queries.with_suffix(".ids").write_bytes(b"\xff\xfe\n" * 32)
+        rc = main(["search", "--queries", str(queries), "--db", str(queries)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("copydet: ") and "queries.ids: not UTF-8" in err
+
     def test_validation_error_exit_1(self, tmp_path, capsys):
         self._gen(tmp_path, capsys)
         world = tmp_path / "world"

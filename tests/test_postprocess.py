@@ -11,6 +11,8 @@ from copydet import (
     subtract_negatives_batch,
     topk,
 )
+from copydet.postprocess import _subtract_rows
+from copydet.search import row_blocks
 
 
 def negsub_oracle(x, neg_matrix, n, k, beta):
@@ -155,6 +157,38 @@ class TestSubtractNegativesBatch:
         targets = EmbeddingSet(("ok", "dies"), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.float32))
         with pytest.raises(ZeroVector, match="dies"):
             subtract_negatives_batch(targets, negs, NegSubConfig(n=1, k=1, beta=1.0))
+
+
+class TestBlockedPath:
+    def test_several_blocks_match_per_target_oracle(self):
+        rng = np.random.default_rng(14)
+        negs = unit_set(rng, 4096, 16)
+        targets = unit_set(rng, 300, 16, prefix="t")
+        assert len(list(row_blocks(targets.count, negs.count))) > 1
+        cfg = NegSubConfig(n=2, k=10, beta=0.35)
+        got = _subtract_rows(targets.matrix.astype(np.float64), negs, cfg)
+        for i in range(targets.count):
+            want = negsub_oracle(targets.row(i), negs.matrix, 2, 10, 0.35)
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+        out = subtract_negatives_batch(targets, negs, cfg)
+        np.testing.assert_array_equal(out.matrix, got.astype(np.float32))
+
+    def test_zero_vector_in_later_block_names_that_target(self):
+        # Targets 250 and 260 equal pool rows, so k=1, beta=1 annihilates
+        # them; every other target survives. The error names the first.
+        rng = np.random.default_rng(15)
+        negs = unit_set(rng, 4096, 16)
+        mat = unit_set(rng, 300, 16).matrix.copy()
+        mat[250], mat[260] = negs.matrix[7], negs.matrix[99]
+        targets = EmbeddingSet(tuple(f"t{i}" for i in range(300)), mat)
+        assert next(row_blocks(300, negs.count)).stop <= 250
+        with pytest.raises(ZeroVector, match=r"^target 't250': "):
+            subtract_negatives_batch(targets, negs, NegSubConfig(n=1, k=1, beta=1.0))
+
+    def test_empty_pool_rejected_even_with_n_zero(self):
+        empty = EmbeddingSet((), np.empty((0, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="empty"):
+            subtract_negatives(np.ones(4), empty, NegSubConfig(n=0))
 
 
 class TestIsolationEffect:

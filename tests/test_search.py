@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from copydet import DimMismatch, EmbeddingSet, topk, topk_batch
+from copydet.search import row_blocks, select_topk
 
 
 def brute_force_topk(query, matrix, k):
@@ -9,6 +13,12 @@ def brute_force_topk(query, matrix, k):
     scores = matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [(i, scores[i]) for i in order[: min(k, len(scores))]]
+
+
+def lexsort_topk(scores, k):
+    """Full-sort oracle for a score block: per row, score descending then index."""
+    n = scores.shape[1]
+    return np.stack([np.lexsort((np.arange(n), -row))[: min(k, n)] for row in scores])
 
 
 def unit_set(rng, count, dim, prefix="r"):
@@ -112,3 +122,46 @@ class TestTopkBatch:
         a = topk_batch(queries, db, 5)
         b = topk_batch(queries, db, 5)
         assert a == b
+
+
+class TestSelectTopk:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+    def test_forced_ties_match_full_sort(self, n):
+        # Half the rows live on a coarse grid, so many scores tie with the
+        # m-th largest; the other half are continuous and never tie.
+        rng = np.random.default_rng(n)
+        scores = rng.standard_normal((24, n))
+        scores[::2] = np.round(scores[::2] * 2) / 2
+        for k in sorted({1, 3, max(n - 1, 1), n, n + 5}):
+            np.testing.assert_array_equal(select_topk(scores, min(k, n)), lexsort_topk(scores, k))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                   elements=st.integers(-3, 3).map(float)),
+        st.integers(1, 45),
+    )
+    def test_small_integer_scores_match_full_sort(self, scores, k):
+        np.testing.assert_array_equal(
+            select_topk(scores, min(k, scores.shape[1])), lexsort_topk(scores, k)
+        )
+
+    def test_ties_across_several_blocks(self):
+        # Eight distinct directions repeated 512 times: every query ties
+        # with hundreds of rows; the queries span several score blocks.
+        rng = np.random.default_rng(21)
+        base = unit_set(rng, 8, 16).matrix
+        db = EmbeddingSet(tuple(f"r{i}" for i in range(4096)), np.tile(base, (512, 1)))
+        queries = unit_set(rng, 100, 16, prefix="q")
+        assert len(list(row_blocks(queries.count, db.count))) > 1
+        hits = topk_batch(queries, db, 12)
+        for qi in range(queries.count):
+            want = brute_force_topk(queries.row(qi), db.matrix, 12)
+            assert [h.index for h in hits[qi]] == [i for i, _ in want]
+
+    def test_row_blocks_cover_rows_in_order(self):
+        for rows, n in [(0, 10), (1, 1), (1000, 8192), (5, 10**9)]:
+            blocks = list(row_blocks(rows, n))
+            covered = [i for b in blocks for i in range(b.start, b.stop)]
+            assert covered == list(range(rows))
+            assert all(b.stop > b.start for b in blocks)

@@ -1,12 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import copydet.train
 from copydet import (
     TIERS,
     AugmentTier,
+    DimMismatch,
     EmptyBatch,
     Encoder,
     FormatError,
@@ -404,6 +408,75 @@ class TestEncoder:
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError):
+            Encoder.load(path)
+
+
+_f32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+_CHECKPOINT_PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def _encoders(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    layers = []
+    for di, do in zip(dims, dims[1:]):
+        w = draw(hnp.arrays(np.float32, (di, do), elements=_f32)).astype(np.float64)
+        b_ = draw(hnp.arrays(np.float32, (do,), elements=_f32)).astype(np.float64)
+        layers.append((w, b_))
+    return Encoder(layers)
+
+
+class TestCheckpointProperties:
+    @_CHECKPOINT_PROPERTY
+    @given(_encoders())
+    def test_round_trip_bit_exact(self, tmp_path, enc):
+        path = tmp_path / "enc.bin"
+        enc.save(path)
+        blob = path.read_bytes()
+        back = Encoder.load(path)
+        for (w, b_), (w2, b2) in zip(enc.layers, back.layers):
+            assert w.tobytes() == w2.tobytes() and b_.tobytes() == b2.tobytes()
+        back.save(path)
+        assert path.read_bytes() == blob
+
+    @_CHECKPOINT_PROPERTY
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda tail: b"ISCW" + tail, st.binary(max_size=64)),
+        st.builds(
+            lambda head, tail: b"ISCW" + struct.pack("<II", 1, head) + tail,
+            st.integers(0, 3), st.binary(max_size=96),
+        ),
+    ))
+    def test_arbitrary_bytes_raise_only_format_errors(self, tmp_path, blob):
+        path = tmp_path / "any.bin"
+        path.write_bytes(blob)
+        try:
+            Encoder.load(path)
+        except (FormatError, DimMismatch):
+            pass
+
+    @_CHECKPOINT_PROPERTY
+    @given(_encoders(), st.data())
+    def test_truncation_raises_only_format_errors(self, tmp_path, enc, data):
+        path = tmp_path / "cut.bin"
+        enc.save(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises((FormatError, DimMismatch)):
+            Encoder.load(path)
+
+    def test_mismatched_layer_widths_are_a_format_error(self, tmp_path):
+        # Layer one maps 1 -> 2, layer two expects 3 inputs.
+        path = tmp_path / "bad.bin"
+        path.write_bytes(
+            b"ISCW" + struct.pack("<II", 1, 2)
+            + struct.pack("<II", 1, 2) + bytes(16)
+            + struct.pack("<II", 3, 1) + bytes(16)
+        )
+        with pytest.raises(FormatError, match="width mismatch"):
             Encoder.load(path)
 
 
