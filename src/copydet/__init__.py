@@ -43,7 +43,9 @@ from .pipeline import (
     RunManifest,
     negative_swap,
     reproduce_trend,
+    swap_report,
     train_and_embed,
+    trend_report,
 )
 from .postprocess import NegSubConfig, subtract_negatives, subtract_negatives_batch
 from .search import Neighbor, topk, topk_batch
@@ -108,9 +110,11 @@ __all__ = [
     "substream",
     "subtract_negatives",
     "subtract_negatives_batch",
+    "swap_report",
     "topk",
     "topk_batch",
     "train_and_embed",
+    "trend_report",
     "write_embeddings",
     "write_matches_tsv",
     "write_world",

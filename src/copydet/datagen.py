@@ -12,12 +12,13 @@ standing in for pixel-level image manipulation.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingSet, read_embeddings, write_embeddings
+from .embedding import EmbeddingSet, read_embeddings, write_bytes_atomic, write_embeddings
 from .errors import FormatError
 
 TIER_NAMES = ("none", "weak", "intermediate", "strong")
@@ -193,10 +194,11 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> None:
     write_embeddings(world.training, out / "training.emb")
     write_embeddings(world.reference, out / "reference.emb")
     write_embeddings(world.queries, out / "queries.emb")
-    with open(out / "gt.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["query_id", "reference_id"])
-        writer.writerows(world.gt)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["query_id", "reference_id"])
+    writer.writerows(world.gt)
+    write_bytes_atomic(out / "gt.csv", text.getvalue().encode("utf-8"))
 
 
 def load_world(world_dir: str | Path) -> SyntheticWorld:

@@ -175,7 +175,15 @@ def reproduce_trend(manifest: RunManifest) -> dict:
     Writes the world, encoder checkpoint, descriptor files, manifest, and
     both report forms under ``manifest.out_dir``; returns the report.
     """
-    run = train_and_embed(manifest)
+    return trend_report(train_and_embed(manifest), manifest)
+
+
+def trend_report(run: TrainedRun, manifest: RunManifest) -> dict:
+    """The reproduce-trend report and artifacts of an already trained run.
+
+    ``run`` must come from :func:`train_and_embed` of a manifest that
+    differs from ``manifest`` at most in ``out_dir``.
+    """
     post_ap, post_r90, post_q, post_r = _postprocess_eval(run, run.train_emb, manifest)
 
     last = run.stage_rows[-1] if run.stage_rows else {
@@ -225,7 +233,12 @@ def negative_swap(manifest: RunManifest) -> dict:
     The twin pool is a fresh draw from the same distribution as the
     training set, never seen during training; everything else is shared.
     """
-    run = train_and_embed(manifest)
+    return swap_report(train_and_embed(manifest), manifest)
+
+
+def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
+    """The negative-swap report of an already trained run, as for
+    :func:`trend_report`."""
     base_ap, base_r90 = _evaluate(run.query_emb, run.ref_emb, run.gt, manifest.per_query_k)
 
     train_ap, train_r90, _, _ = _postprocess_eval(run, run.train_emb, manifest)

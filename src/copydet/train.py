@@ -138,6 +138,10 @@ def contrastive_loss(
     labels max(0, neg_margin - d), with d the Euclidean distance. The mean
     runs over all counted pairs, active or not. Returns the loss and the
     gradient with respect to each batch embedding; bank entries get none.
+
+    Few pairs are active, so past the one distance gemm the work follows
+    the candidate pairs: the same-label ones, and the different-label ones
+    that one threshold pass finds inside the negative margin.
     """
     E = np.asarray(embeddings, dtype=np.float64)
     labs = np.asarray(labels)
@@ -150,52 +154,73 @@ def contrastive_loss(
         bank.live() if bank is not None else (E[:0], np.zeros(0), labs[:0])
     )
     m = bank_e.shape[0]
+    n = b + m
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
     buffer = bank._buffer if bank is not None else _fresh
-    X = buffer("rows", (b + m, E.shape[1]))
+    X = buffer("rows", (n, E.shape[1]))
     X[:b], X[b:] = E, bank_e
     sq = np.concatenate((_sq_norms(E), bank_sq))
+    # The candidate bound below holds for finite rows only.
+    if not np.isfinite(sq).all():
+        raise NonFiniteValue("non-finite embedding in the loss")
 
-    # One b x (b+m) matrix of true Euclidean distances against [batch; bank]
-    # (not the unit-sphere shortcut), so the gradients stay exact for
-    # off-sphere probe points. -2E is exact, so the gemm yields -2 e.x.
-    dist = np.matmul(-2.0 * E, X.T, out=buffer("dist", (b, b + m)))
-    dist += sq[:b, None]
-    dist += sq
+    # Same-label pairs, compared only in the columns whose label occurs in
+    # the batch: the b x b block and a few bank entries. The diagonal is no
+    # pair. Flat indices address the b x n pair matrix.
+    X_labs = np.concatenate((labs, bank_labs))
+    shared = np.flatnonzero(np.isin(X_labs, labs))
+    r, c = np.nonzero(labs[:, None] == X_labs[shared])
+    c = shared[c]
+    same = r * n + c
+    positives = same[r != c]
+
+    # One gemm against [batch; bank]: g = -2 e.x (-2E is exact), and the
+    # squared distance of a pair is (g + |e|^2) + |x|^2, the true Euclidean
+    # one rather than the unit-sphere shortcut, so the gradients stay exact
+    # for off-sphere probe points.
+    g = np.matmul(-2.0 * E, X.T, out=buffer("dist", (b, n)))
+
+    # Negative candidates in one threshold pass: d^2 < neg_margin^2 implies
+    # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
+    # below the slack (no term exceeds 4 max |x|^2). So the candidates hold
+    # every active negative; the exact hinge test runs on their distances.
+    nm2 = cfg.neg_margin * cfg.neg_margin
+    bound = nm2 - sq[:b].min() - sq.min() + 1e-9 * (nm2 + 4.0 * sq.max())
+    mask = np.less(g, bound, out=buffer("mask", (b, n), np.bool_))
+    mask.reshape(-1)[same] = False
+    pairs = np.concatenate((np.flatnonzero(mask), positives))
+    n_neg = pairs.size - positives.size
+    rows, cols = np.divmod(pairs, n)
+    dist = g.reshape(-1)[pairs] + sq[rows]
+    dist += sq[cols]
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
-    diag = np.arange(b)
-    dist[diag, diag] = 0.0
-
-    # Hinge argument: neg_margin - d on different-label pairs, patched to
-    # d - pos_margin on the few same-label ones.
-    mask = buffer("mask", (b, b + m), np.bool_)
-    X_labs = np.concatenate((labs, bank_labs))
-    positives = np.flatnonzero(np.equal(labs[:, None], X_labs, out=mask))
-    hinge = np.subtract(cfg.neg_margin, dist, out=buffer("hinge", (b, b + m)))
-    hinge.flat[positives] = dist.flat[positives] - cfg.pos_margin
-    active = np.greater(hinge, 0.0, out=mask)
+    hinge = cfg.neg_margin - dist
+    hinge[n_neg:] = dist[n_neg:] - cfg.pos_margin
+    active = hinge > 0.0
 
     # Each active term contributes d(term)/d(dist) / dist as a
     # vector-difference coefficient: w_ij = 1/d pushes e_i away from a
     # negative x_j, -1/d pulls it toward a positive one, and
-    # grad_i = sum_j w_ij (x_j - e_i). Coincident pairs (dist ~ 0, the
-    # diagonal among them) take subgradient zero through an infinite
-    # divisor. The b x b block stays whole: each in-batch pair moves both
-    # of its rows.
-    dist[dist <= _GRAD_EPS] = np.inf
-    w = np.divide(active, dist, out=dist)
-    w.flat[positives] *= -1.0
+    # grad_i = sum_j w_ij (x_j - e_i). Coincident pairs (dist ~ 0) take
+    # subgradient zero. Both entries of an in-batch pair are candidates, so
+    # each in-batch pair moves both of its rows. The weights go into a dense
+    # b x n matrix for one more gemm, which keeps the float summation order
+    # of the gradient.
+    live = np.flatnonzero(active & (dist > _GRAD_EPS))
+    coef = 1.0 / dist[live]
+    coef[live >= n_neg] *= -1.0
+    w = g  # the spent gemm output
+    w.fill(0.0)
+    w.reshape(-1)[pairs[live]] = coef
     grad = w @ X
     grad -= w.sum(axis=1)[:, None] * E
     grad /= num_pairs
 
-    # In-batch pairs count once, through the strict upper triangle of the
-    # b x b block; every (batch, bank) pair counts.
-    np.maximum(hinge, 0.0, out=hinge)
-    total = np.triu(hinge[:, :b], 1).sum() + hinge[:, b:].sum()
+    # In-batch pairs count once (j > i); every (batch, bank) pair counts.
+    total = hinge[active & ((cols >= b) | (cols > rows))].sum()
     return total / num_pairs, grad
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,24 @@ class TestWorldIO:
         assert loaded.training.matrix.tobytes() == world.training.matrix.tobytes()
         assert loaded.queries.ids == world.queries.ids
         assert not loaded.training.unit_norm
+
+    def test_failed_replace_keeps_old_gt_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        write_world(gen_world(seed=9, n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=0.5), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_replace = os.replace
+
+        def fail_on_gt(src, dst):
+            if os.path.basename(dst) == "gt.csv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_on_gt)
+        other = gen_world(seed=10, n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=1.0)
+        with pytest.raises(OSError, match="disk full"):
+            write_world(other, tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert after["gt.csv"] == before["gt.csv"]
 
 
 class TestSubstream:

@@ -17,7 +17,7 @@ GOLDEN = {
     "embeddings/reference.emb": "b30c17cb6b625763722f01330f07a228ad6bd663d827c6b215422175061bca79",
     "embeddings/reference_post.emb": "71b1fb3a0e37c0b26f03d534f750f2f28a0e3e18b1c75b40b2fe96002b94f42b",
     "embeddings/training.emb": "8171e3ddaedc6612500d961eaf0462d344be47b8438d85e471d469d15286a97c",
-    "report.json": "d54d141dd747603b64e09a88e895fd04713c16844191185945b2ba1bd8307919",
+    "report.json": "522b2ca7498b1204011c99483cfe16cb250f90acffdaa29ea782162ee81e1484",
     "world/queries.emb": "eb54467f6d87aaa9f6f6ae3c1ff29394d4243a4b14179708aabea4bdbb474b36",
     "world/reference.emb": "3fe5213061a80ab9064e075fd84811eebf68da9d159abcf0f72b8eb0119778df",
     "world/training.emb": "27098f4adf593c31529947c7f5c3f2e91a0f4012a616671ad8398963ec116a44",

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copydet import (
     EmbeddingSet,
@@ -152,6 +154,54 @@ class TestMonotoneTransformInvariance:
             )
             assert micro_ap(mapped, gt) == micro_ap(base, gt)
             assert recall_at_precision(mapped, gt, 0.9) == recall_at_precision(base, gt, 0.9)
+
+
+# Candidate lists on a few queries and references, with small integer
+# scores so that ties are common, and a ground-truth flag per candidate.
+_candidates = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-5, 5), st.booleans()),
+    min_size=1,
+    max_size=25,
+    unique_by=lambda c: (c[0], c[1]),
+)
+_strictly_increasing = [lambda s: 3.0 * s - 7.0, lambda s: s**3, np.exp, np.arctan]
+
+
+def _entries_and_gt(cands):
+    entries = [(f"q{q}", f"r{r}", float(s)) for q, r, s, _ in cands]
+    # One positive the ranking never retrieves, so recall stays below 1
+    # and there is always a positive.
+    gt = {(f"q{q}", f"r{r}") for q, r, _, pos in cands if pos} | {("q9", "r9")}
+    return entries, GroundTruth.from_pairs(gt)
+
+
+class TestRankOnlyProperties:
+    """Both metrics read only the order of the candidates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cands=_candidates,
+        transform=st.sampled_from(_strictly_increasing),
+        p=st.sampled_from([0.5, 0.9, 1.0]),
+    )
+    def test_strictly_increasing_rescoring(self, cands, transform, p):
+        entries, gt = _entries_and_gt(cands)
+        base = RankedMatches.from_candidates(entries)
+        mapped = RankedMatches.from_candidates(
+            [(q, r, float(transform(s))) for q, r, s in entries]
+        )
+        assert micro_ap(mapped, gt) == micro_ap(base, gt)
+        assert recall_at_precision(mapped, gt, p) == recall_at_precision(base, gt, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cands=_candidates, p=st.sampled_from([0.5, 0.9, 1.0]))
+    def test_permuted_candidates(self, data, cands, p):
+        entries, gt = _entries_and_gt(cands)
+        shuffled = data.draw(st.permutations(entries))
+        base = RankedMatches.from_candidates(entries)
+        permuted = RankedMatches.from_candidates(shuffled)
+        assert micro_ap(permuted, gt) == micro_ap(base, gt)
+        assert recall_at_precision(permuted, gt, p) == recall_at_precision(base, gt, p)
 
 
 class TestRankedMatches:

@@ -184,6 +184,100 @@ class TestFusedLossMatchesReference:
             assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
 
 
+def assert_matches_reference(emb, labels, bank, cfg):
+    loss, grad = contrastive_loss(emb, labels, bank, cfg)
+    ref_loss, ref_grad = reference_contrastive_loss(emb, labels, bank, cfg)
+    assert abs(loss - ref_loss) <= 1e-12
+    assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
+    return loss, grad
+
+
+class TestLossEdgeCases:
+    """Cases at the edges of the candidate selection, against the oracle."""
+
+    def test_no_active_pair(self):
+        # Distinct labels on +-e_k: every distance is sqrt(2) or 2 > 1.
+        eye = np.eye(6)
+        bank = MemoryBank(8, 6)
+        bank.push(-eye, np.arange(10, 16))
+        loss, grad = assert_matches_reference(eye, np.arange(6), bank, LossConfig())
+        assert loss == 0.0 and not grad.any()
+
+    def test_every_pair_active(self):
+        # Unit rows are at most 2 apart, inside a negative margin of 3, and
+        # same-label rows are never coincident.
+        rng = np.random.default_rng(12)
+        bank = MemoryBank(40, 5)
+        bank.push(unit_rows(rng, 50, 5), rng.integers(0, 6, size=50))
+        emb, labels = unit_rows(rng, 9, 5), rng.integers(0, 6, size=9)
+        cfg = LossConfig(pos_margin=0.0, neg_margin=3.0)
+        loss, grad = assert_matches_reference(emb, labels, bank, cfg)
+        bank_e, bank_labels = bank.contents()
+        d_batch = np.linalg.norm(emb[:, None] - emb[None], axis=2)
+        d_bank = np.linalg.norm(emb[:, None] - bank_e[None], axis=2)
+        assert np.all(d_bank[labels[:, None] == bank_labels] > 0.0)
+        assert np.all(d_batch[np.triu(labels[:, None] == labels, 1)] > 0.0)
+        # Every term is active, so the loss has its closed form.
+        terms = np.where(labels[:, None] == bank_labels, d_bank, 3.0 - d_bank).sum()
+        iu = np.triu_indices(9, 1)
+        same = labels[:, None] == labels
+        terms += np.where(same, d_batch, 3.0 - d_batch)[iu].sum()
+        np.testing.assert_allclose(loss, terms / (36 + 9 * 40), rtol=1e-12)
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_negative_one_ulp_from_the_margin(self, side):
+        # Unit rows on a dyadic grid at distance exactly 1 in any summation
+        # order; the margin sits one ulp below, on, or one ulp above it.
+        emb = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5]])
+        margin = {-1: np.nextafter(1.0, 0.0), 0: 1.0, 1: np.nextafter(1.0, 2.0)}[side]
+        cfg = LossConfig(neg_margin=float(margin))
+        for bank in (None, MemoryBank(4, 4)):
+            batch = emb
+            if bank is not None:
+                bank.push(emb[1:], np.array([2]))
+                batch = emb[:1]
+            loss, grad = assert_matches_reference(batch, np.array([1, 2])[: len(batch)], bank, cfg)
+            assert (loss > 0.0) == (side == 1)
+            assert grad.any() == (side == 1)
+
+    def test_negative_inside_the_margin_only_after_rounding(self):
+        # Both squared norms are exactly 1 and -2 e.x = g is exact, yet g is
+        # not below neg_margin^2 - 2: the pair falls inside the margin only
+        # once (g + 1) + 1 is rounded. The candidate bound's slack keeps it.
+        emb = np.array([[1.0, 0.0], [0.900066216039368, 0.4357531488636356]])
+        cfg = LossConfig(neg_margin=0.44706550741615503)
+        assert np.all(np.einsum("ij,ij->i", emb, emb) == 1.0)
+        assert -2.0 * emb[1, 0] >= (cfg.neg_margin**2 - 1.0) - 1.0
+        loss, grad = assert_matches_reference(emb, np.array([1, 2]), None, cfg)
+        assert loss > 0.0 and grad.any()
+
+    def test_positive_only_bank_column(self):
+        # The bank entry shares row 0's label and is sqrt(2) from every
+        # batch row: one active positive, and no active negative in its column.
+        eye = np.eye(4)
+        bank = MemoryBank(4, 4)
+        bank.push(eye[2:3], np.array([7]))
+        loss, grad = assert_matches_reference(eye[:2], np.array([7, 8]), bank, LossConfig())
+        np.testing.assert_allclose(loss, np.sqrt(2.0) / 3.0, rtol=1e-12)
+        assert grad[0].any() and not grad[1].any()
+
+    def test_non_finite_row_raises(self):
+        # A NaN distance would fail every threshold and drop out silently.
+        emb = np.array([[1.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(NonFiniteValue, match="non-finite embedding"):
+            contrastive_loss(emb, np.array([1, 2]), None, LossConfig())
+
+    def test_full_bank_of_20000(self):
+        rng = np.random.default_rng(20000)
+        bank = MemoryBank(20000, 16)
+        for _ in range(3):
+            bank.push(unit_rows(rng, 8000, 16), rng.integers(0, 4000, size=8000))
+        emb = unit_rows(rng, 64, 16)
+        labels = np.tile(rng.integers(0, 4000, size=32), 2)
+        loss, grad = assert_matches_reference(emb, labels, bank, LossConfig())
+        assert len(bank) == 20000 and loss > 0.0 and grad.any()
+
+
 class TestContrastiveLoss:
     def test_single_positive_pair(self):
         emb = pair_at_distance(0.5)
