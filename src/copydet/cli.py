@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .datagen import TIER_NAMES, gen_world, load_world, substream, write_world
+from .datagen import TIER_NAMES, gen_world, load_world, write_world
 from .embedding import read_embeddings, write_embeddings
 from .errors import CopyDetError, FormatError
 from .metrics import (
@@ -23,9 +23,10 @@ from .pipeline import (
     negative_swap,
     render_report_json,
     reproduce_trend,
+    train_encoder,
 )
 from .postprocess import NegSubConfig, subtract_negatives_batch
-from .train import Encoder, MemoryBank, StageConfig, default_stage_schedule, run_stage
+from .train import Encoder, LossConfig, StageConfig, default_stage_schedule
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,15 +62,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    world = load_world(args.world)
-    stages = _load_stages(args.stages)
-    rng = substream(args.seed, "train")
-    encoder = Encoder.init(world.dim, args.dim, args.hidden, rng=rng)
-    bank = MemoryBank(args.bank_capacity, args.dim)
-    losses = []
-    for stage in stages:
-        _, metrics = run_stage(encoder, world, stage, bank, rng)
-        losses.append(metrics)
+    # CLI train has no margin or momentum flags: it takes the run defaults.
+    encoder, losses = train_encoder(
+        load_world(args.world), _load_stages(args.stages), args.seed, args.dim, args.hidden,
+        args.bank_capacity, LossConfig(), RunManifest.momentum,
+    )
     encoder.save(args.out)
     print(json.dumps({"out": args.out, "stages": losses}))
     return 0
@@ -122,17 +119,13 @@ def _manifest_from_args(args) -> RunManifest:
     manifest = RunManifest(seed=args.seed, out_dir=args.out_dir)
     for name in (
         "n_train", "n_ref", "n_query", "copy_rate", "per_query_k",
-        "bank_capacity", "postprocess_targets",
+        "bank_capacity", "postprocess_targets", "world_tier", "encoder_dim",
     ):
         value = getattr(args, name)
         if value is not None:
             setattr(manifest, name, value)
     if args.dim is not None:
         manifest.d_in = args.dim
-    if args.world_tier is not None:
-        manifest.world_tier = args.world_tier
-    if args.encoder_dim is not None:
-        manifest.encoder_dim = args.encoder_dim
     if args.n is not None:
         manifest.negsub_n = args.n
     if args.k is not None:

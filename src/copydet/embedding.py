@@ -43,12 +43,13 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _check_id(s: str) -> str:
-    # Any line boundary str.splitlines knows (not only \n and \r) would
-    # split the id in two when the sidecar is read back.
-    if s.splitlines() != [s]:
-        raise ValueError(f"invalid id {s!r}: ids must be non-empty, single-line")
-    return s
+def _check_ids(ids: tuple[str, ...]) -> None:
+    # Any line boundary str.splitlines knows (not only \n and \r) would split
+    # an id when the sidecar is read back. The joined ids split back into
+    # themselves iff every id is non-empty and single-line.
+    if not (all(ids) and "\n".join(ids).splitlines() == list(ids)):
+        bad = next(s for s in ids if s.splitlines() != [s])
+        raise ValueError(f"invalid id {bad!r}: ids must be non-empty, single-line")
 
 
 def write_bytes_atomic(path: str | Path, data: bytes) -> None:
@@ -92,7 +93,8 @@ class EmbeddingSet:
             raise ValueError(f"matrix must be 2-d, got shape {mat.shape}")
         if mat.shape[1] < 1:
             raise ValueError("dim must be at least 1")
-        ids = tuple(_check_id(s) for s in self.ids)
+        ids = tuple(self.ids)
+        _check_ids(ids)
         if len(ids) != mat.shape[0]:
             raise ValueError(
                 f"{len(ids)} ids but {mat.shape[0]} matrix rows"

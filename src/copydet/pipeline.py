@@ -12,6 +12,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -111,6 +112,26 @@ class TrainedRun:
     stage_rows: list[dict]
 
 
+def train_encoder(
+    world: SyntheticWorld, stages: list[StageConfig], seed: int, dim: int, hidden: int,
+    bank_capacity: int, loss_cfg: LossConfig, momentum: float,
+    after_stage: Callable[[Encoder, StageConfig, dict], None] | None = None,
+) -> tuple[Encoder, list[dict]]:
+    """The one stage loop: train a fresh encoder, seeded from the "train" stream.
+
+    Returns it and each stage's :func:`run_stage` metrics; ``after_stage``,
+    when given, sees it after every stage."""
+    rng = substream(seed, "train")
+    encoder = Encoder.init(world.dim, dim, hidden, rng=rng)
+    bank = MemoryBank(bank_capacity, dim)
+    metrics: list[dict] = []
+    for stage in stages:
+        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, momentum)[1])
+        if after_stage is not None:
+            after_stage(encoder, stage, metrics[-1])
+    return encoder, metrics
+
+
 def train_and_embed(manifest: RunManifest) -> TrainedRun:
     """World generation plus the staged schedule, evaluating after each stage."""
     world = gen_world(
@@ -123,23 +144,11 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
         tier=manifest.world_tier,
     )
     gt = GroundTruth.from_pairs(world.gt)
-    train_rng = substream(manifest.seed, "train")
-    encoder = Encoder.init(
-        manifest.d_in, manifest.encoder_dim, manifest.encoder_hidden, rng=train_rng
-    )
-    bank = MemoryBank(manifest.bank_capacity, manifest.encoder_dim)
-    loss_cfg = manifest.loss_config()
-
     stage_rows: list[dict] = []
-    query_emb = encoder.encode_set(world.queries)
-    ref_emb = encoder.encode_set(world.reference)
-    for stage in manifest.stages:
-        _, stage_metrics = run_stage(
-            encoder, world, stage, bank, train_rng, loss_cfg, manifest.momentum
-        )
-        query_emb = encoder.encode_set(world.queries)
-        ref_emb = encoder.encode_set(world.reference)
-        ap, r90 = _evaluate(query_emb, ref_emb, gt, manifest.per_query_k)
+
+    def evaluate_stage(encoder, stage, stage_metrics):
+        queries, refs = encoder.encode_set(world.queries), encoder.encode_set(world.reference)
+        ap, r90 = _evaluate(queries, refs, gt, manifest.per_query_k)
         stage_rows.append(
             {
                 "stage": stage.index,
@@ -152,6 +161,13 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
                 "mean_loss": stage_metrics["mean_loss"],
             }
         )
+
+    encoder, _ = train_encoder(
+        world, manifest.stages, manifest.seed, manifest.encoder_dim, manifest.encoder_hidden,
+        manifest.bank_capacity, manifest.loss_config(), manifest.momentum, evaluate_stage,
+    )
+    query_emb = encoder.encode_set(world.queries)
+    ref_emb = encoder.encode_set(world.reference)
     train_emb = encoder.encode_set(world.training)
     return TrainedRun(world, encoder, gt, query_emb, ref_emb, train_emb, stage_rows)
 

@@ -19,10 +19,8 @@ import numpy as np
 from .embedding import EmbeddingSet
 from .errors import DimMismatch
 
-# Cap on one float64 score block. A block and its argpartition indices
-# then take about 2 MiB whatever the query count, and at 8192 database
-# rows a block still holds 16 queries, so the per-block Python cost stays
-# small next to the gemm and the selection.
+# Cap on one float64 score block, whatever the query count. At 8192 database
+# rows a block still holds 16 queries, so per-block Python cost stays small.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -48,23 +46,21 @@ def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     the result equals a full sort of the row. Requires 1 <= m <= n.
     """
     b, n = scores.shape
-    if m == n:
-        cand = np.broadcast_to(np.arange(n), (b, n))
-    else:
-        # The m largest per row, in arbitrary order; index-sorted so the
-        # stable sort below breaks score ties by ascending index.
-        cand = np.sort(np.argpartition(scores, n - m, axis=1)[:, n - m:], axis=1)
-    top = np.take_along_axis(scores, cand, axis=1)
-    idx = np.take_along_axis(cand, np.argsort(-top, axis=1, kind="stable"), axis=1)
-    if m < n:
-        # Where more scores tie with the m-th than fit, argpartition chose
-        # among them arbitrarily: widen those rows to every tied score.
-        kth = top.min(axis=1)
-        for r in np.flatnonzero(np.count_nonzero(scores >= kth[:, None], axis=1) > m):
-            s = scores[r]
-            wide = np.flatnonzero(s >= kth[r])
-            idx[r] = wide[np.lexsort((wide, -s[wide]))[:m]]
-    return idx
+    # Each row's first g * w columns form g >= m interleaved groups. The m-th
+    # largest group maximum t is reached by m distinct columns, so every
+    # top-m score, and every score tied with the m-th, is >= t. max(64, 4m)
+    # or more groups keep t close to the m-th score; groups of at most 32
+    # columns keep the max-reduce's passes long.
+    g = min(n, max(64, 4 * m, n // 32))
+    w = n // g
+    group_max = scores[:, : g * w].reshape(b, w, g).max(axis=1)
+    t = np.partition(group_max, g - m, axis=1)[:, g - m]
+    # Candidates come by row, then ascending column, and lexsort is stable:
+    # sorting them by (row, -score) breaks ties by ascending column.
+    rows, cols = np.divmod(np.flatnonzero(scores >= t[:, None]), n)
+    order = np.lexsort((-scores[rows, cols], rows))
+    first = np.searchsorted(rows, np.arange(b))
+    return cols[order[first[:, None] + np.arange(m)]]
 
 
 def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> list[list[Neighbor]]:

@@ -95,13 +95,6 @@ class MemoryBank:
         n = self._size
         return self._emb[:n], self._sq_norms[:n], self._labels[:n]
 
-    def contents(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current entries oldest to newest."""
-        if self._size < self.capacity:
-            return self._emb[: self._size].copy(), self._labels[: self._size].copy()
-        idx = (np.arange(self.capacity) + self._cursor) % self.capacity
-        return self._emb[idx], self._labels[idx]
-
     def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """An uninitialised buffer of ``shape``, reused across calls per name.
 

@@ -1,0 +1,16 @@
+"""The ring oracle: a memory bank's entries in age order, for the tests."""
+
+import numpy as np
+
+
+def bank_contents(bank):
+    """Entries of ``bank`` oldest to newest, as (embeddings, labels) copies.
+
+    Reads the ring storage and cursor directly, so it shares no code with
+    ``MemoryBank.live()``, which returns the occupied slots in storage order.
+    """
+    size = len(bank)
+    if size < bank.capacity:
+        return bank._emb[:size].copy(), bank._labels[:size].copy()
+    idx = (np.arange(bank.capacity) + bank._cursor) % bank.capacity
+    return bank._emb[idx], bank._labels[idx]

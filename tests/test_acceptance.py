@@ -33,6 +33,8 @@ from copydet import (
     trend_report,
 )
 
+from bank_oracle import bank_contents
+
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -252,7 +254,7 @@ class TestCriterion5MemoryBankSemantics:
             bank.push(rows, labels)
             oracle += list(zip(rows, labels))
             oracle = oracle[-capacity:]
-            emb, labs = bank.contents()
+            emb, labs = bank_contents(bank)
             np.testing.assert_array_equal(labs, [l for _, l in oracle])
             np.testing.assert_array_equal(emb, np.stack([r for r, _ in oracle]))
 

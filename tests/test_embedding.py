@@ -17,6 +17,7 @@ from copydet import (
     write_embeddings,
     write_matches_tsv,
 )
+from copydet.embedding import _check_ids
 
 # Each example overwrites the same files, so sharing tmp_path is safe.
 _FILE_PROPERTY = settings(
@@ -208,6 +209,24 @@ class TestSerialization:
         for bad in ("a\x85b", "a\u2028b", "a\x0bb", "a\x1cb"):
             with pytest.raises(ValueError, match="single-line"):
                 EmbeddingSet((bad,), np.ones((1, 2), dtype=np.float32), unit_norm=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab\r\n\x0b\x85\u2028", max_size=4), max_size=6))
+    def test_one_pass_id_check_agrees_with_per_id_check(self, ids):
+        def error(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def per_id():
+            # The former check, one id at a time.
+            for s in ids:
+                if s.splitlines() != [s]:
+                    raise ValueError(f"invalid id {s!r}: ids must be non-empty, single-line")
+
+        assert error(lambda: _check_ids(tuple(ids))) == error(per_id)
 
 
 _ids = st.text(min_size=1, max_size=12).filter(lambda s: s.splitlines() == [s])

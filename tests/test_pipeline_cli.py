@@ -166,6 +166,31 @@ class TestCli:
             assert (world / f"{stem}.emb").exists()
             assert (world / f"{stem}.ids").exists()
 
+    def test_train_saves_the_encoder_of_train_and_embed(self, tmp_path, capsys):
+        # CLI train and the pipeline share one stage loop: the same seed,
+        # sizes and schedule give the same checkpoint bytes and losses.
+        self._gen(tmp_path, capsys)
+        manifest = tiny_manifest(tmp_path / "run", seed=7, copy_rate=0.5)
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([s.to_dict() for s in manifest.stages]))
+        rc = main([
+            "train", "--world", str(tmp_path / "world"), "--stages", str(stages),
+            "--seed", "7", "--out", str(tmp_path / "cli.bin"), "--dim", "4",
+            "--bank-capacity", "128",
+        ])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        run = train_and_embed(manifest)
+        run.encoder.save(tmp_path / "pipeline.bin")
+        assert (tmp_path / "cli.bin").read_bytes() == (tmp_path / "pipeline.bin").read_bytes()
+        assert printed["out"] == str(tmp_path / "cli.bin")
+        assert [(s["stage"], s["tier"], s["epochs"]) for s in printed["stages"]] == [
+            (s.index, s.tier, s.epochs) for s in manifest.stages
+        ]
+        assert [s["mean_loss"] for s in printed["stages"]] == [
+            r["mean_loss"] for r in run.stage_rows
+        ]
+
     def test_full_chain_train_embed_search_eval(self, tmp_path, capsys):
         self._gen(tmp_path, capsys)
         world = str(tmp_path / "world")

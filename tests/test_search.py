@@ -159,6 +159,83 @@ class TestSelectTopk:
             want = brute_force_topk(queries.row(qi), db.matrix, 12)
             assert [h.index for h in hits[qi]] == [i for i, _ in want]
 
+    def test_winners_only_in_tail_columns(self):
+        # Groups cover the first g * (n // g) columns: 192 of 200 at m = 3
+        # (64 groups) and 4992 of 5000 at m = 5 (156 groups). The winners,
+        # partly tied, sit only in the tail columns outside every group.
+        rng = np.random.default_rng(31)
+        for n, m, tail in [(200, 3, 192), (5000, 5, 4992)]:
+            scores = rng.uniform(0.0, 1.0, (6, n))
+            scores[:, tail:] = 2.0 + rng.integers(0, 3, (6, n - tail))
+            idx = select_topk(scores, m)
+            assert idx.min() >= tail
+            np.testing.assert_array_equal(idx, lexsort_topk(scores, m))
+
+    @pytest.mark.parametrize("n", [5, 33, 63])
+    def test_fewer_columns_than_groups(self, n):
+        # Below 64 columns every group is one column, so the bound is the
+        # m-th score itself.
+        rng = np.random.default_rng(n)
+        scores = np.round(rng.standard_normal((10, n)) * 2) / 2
+        for m in sorted({1, 2, n // 2 or 1, n - 1 or 1, n}):
+            np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+
+    @pytest.mark.parametrize("n", [1, 64, 100, 300])
+    def test_m_equals_n(self, n):
+        rng = np.random.default_rng(n)
+        scores = rng.integers(-2, 3, (5, n)).astype(float)
+        np.testing.assert_array_equal(select_topk(scores, n), lexsort_topk(scores, n))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (50, 7), (4096, 10), (4097, 40)])
+    def test_every_score_in_a_row_tied(self, n, m):
+        scores = np.full((3, n), 0.25)
+        scores[1] = -1.0
+        np.testing.assert_array_equal(select_topk(scores, m), np.tile(np.arange(m), (3, 1)))
+
+    def test_top_scores_in_one_interleaved_group(self):
+        # At n = 512, m = 5 there are 64 groups of the columns j + 64 i.
+        # Group 7 holds every top score, so the other group maxima, and
+        # with them the bound, are far below the winners.
+        rng = np.random.default_rng(41)
+        scores = rng.uniform(0.0, 1.0, (8, 512))
+        scores[:, 7::64] = 5.0 + rng.integers(0, 4, (8, 8))
+        idx = select_topk(scores, 5)
+        assert np.all(idx % 64 == 7)
+        np.testing.assert_array_equal(idx, lexsort_topk(scores, 5))
+
+    def test_ties_straddling_the_mth_score_across_groups(self):
+        # At n = 2048, m = 10 there are 64 groups of the columns j + 64 i.
+        # Six distinct leaders, then one value shared by 12 columns, all 18
+        # in different groups: the 10th place is a tie that only the column
+        # order settles.
+        rng = np.random.default_rng(43)
+        scores = rng.uniform(0.0, 1.0, (6, 2048))
+        for row in scores:
+            cols = rng.choice(64, 18, replace=False) + 64 * rng.integers(0, 32, 18)
+            row[cols[:6]] = 3.0 + np.arange(6)
+            row[cols[6:]] = 2.0
+        idx = select_topk(scores, 10)
+        np.testing.assert_array_equal(idx, lexsort_topk(scores, 10))
+        assert np.all(scores[np.arange(6), idx[:, -1]] == 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([63, 64, 65, 127, 128, 129, 159, 160, 161, 2047, 2048, 2049,
+                         4095, 4096, 4097, 4127, 4128, 4129]),
+        st.integers(1, 40),
+        st.sampled_from([2, 5, 0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_group_width_boundaries_match_full_sort(self, n, m, levels, seed):
+        # n sits on both sides of the points where the group count or the
+        # group width changes; levels > 0 draws integer scores with ties.
+        rng = np.random.default_rng(seed)
+        if levels:
+            scores = rng.integers(0, levels, (3, n)).astype(float)
+        else:
+            scores = rng.standard_normal((3, n))
+        np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+
     def test_row_blocks_cover_rows_in_order(self):
         for rows, n in [(0, 10), (1, 1), (1000, 8192), (5, 10**9)]:
             blocks = list(row_blocks(rows, n))

@@ -30,6 +30,8 @@ from copydet import (
     substream,
 )
 
+from bank_oracle import bank_contents
+
 
 def unit_rows(rng, count, dim):
     m = rng.standard_normal((count, dim))
@@ -95,7 +97,7 @@ def reference_contrastive_loss(embeddings, labels, bank, cfg):
     """The former two-pass loss, kept as the oracle for the fused one.
 
     In-batch and bank pairs go through separate distance, term and weight
-    passes, with the bank read oldest to newest through ``contents()``.
+    passes, with the bank read oldest to newest through ``bank_contents``.
     One change from the former library version: the diagonal of the in-batch
     weights is zeroed. A row is no pair of itself, but its round-off
     distance (~1e-8) passed the coincidence threshold and added
@@ -105,7 +107,7 @@ def reference_contrastive_loss(embeddings, labels, bank, cfg):
     labs = np.asarray(labels)
     b = E.shape[0]
     if bank is not None and len(bank) > 0:
-        bank_e, bank_labs = bank.contents()
+        bank_e, bank_labs = bank_contents(bank)
     else:
         bank_e = np.zeros((0, E.shape[1]))
         bank_labs = np.zeros(0, dtype=np.int64)
@@ -171,7 +173,7 @@ class TestFusedLossMatchesReference:
                 emb[1] = emb[0]
                 labels[1] = labels[0] + (duplicates == "other_label")
             if duplicates == "bank_row" and bank is not None and len(bank):
-                bank_rows, bank_labels = bank.contents()
+                bank_rows, bank_labels = bank_contents(bank)
                 emb[0] = bank_rows[-1]
                 labels[0] = bank_labels[-1] + trial % 2
             cfg = LossConfig()
@@ -212,7 +214,7 @@ class TestLossEdgeCases:
         emb, labels = unit_rows(rng, 9, 5), rng.integers(0, 6, size=9)
         cfg = LossConfig(pos_margin=0.0, neg_margin=3.0)
         loss, grad = assert_matches_reference(emb, labels, bank, cfg)
-        bank_e, bank_labels = bank.contents()
+        bank_e, bank_labels = bank_contents(bank)
         d_batch = np.linalg.norm(emb[:, None] - emb[None], axis=2)
         d_bank = np.linalg.norm(emb[:, None] - bank_e[None], axis=2)
         assert np.all(d_bank[labels[:, None] == bank_labels] > 0.0)
@@ -349,7 +351,7 @@ class TestMemoryBank:
         bank = MemoryBank(3, 2)
         rows = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
         bank.push(rows, np.array([0, 1, 2, 3]))
-        emb, labels = bank.contents()
+        emb, labels = bank_contents(bank)
         np.testing.assert_array_equal(labels, [1, 2, 3])
         np.testing.assert_array_equal(emb, rows[1:])
 
@@ -357,7 +359,7 @@ class TestMemoryBank:
         bank = MemoryBank(10, 2)
         rows = np.array([[1, 0], [0, 1]], dtype=float)
         bank.push(rows, np.array([5, 6]))
-        emb, labels = bank.contents()
+        emb, labels = bank_contents(bank)
         np.testing.assert_array_equal(labels, [5, 6])
         np.testing.assert_array_equal(emb, rows)
         assert len(bank) == 2
@@ -378,7 +380,7 @@ class TestMemoryBank:
                 oracle.append((r, int(l)))
             oracle = oracle[-capacity:]
 
-            emb, labs = bank.contents()
+            emb, labs = bank_contents(bank)
             np.testing.assert_array_equal(labs, [l for _, l in oracle])
             np.testing.assert_array_equal(emb, np.stack([r for r, _ in oracle]))
 
@@ -396,7 +398,7 @@ class TestMemoryBank:
             bank.push(labels[:, None] * np.array([1.0, -0.5]), labels)
             oracle += labels.tolist()
             expected = oracle[-capacity:]
-            emb, labs = bank.contents()
+            emb, labs = bank_contents(bank)
             assert labs.tolist() == expected
             np.testing.assert_array_equal(emb, labs[:, None] * np.array([1.0, -0.5]))
             live_emb, live_sq, live_labs = bank.live()
