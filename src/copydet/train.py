@@ -2,8 +2,11 @@
 
 The encoder is a small affine map (optionally one tanh hidden layer)
 followed by L2 normalization, trained with momentum SGD. Each batch pairs
-two views of every training item; the loss counts all in-batch pairs plus
-all pairs against a FIFO memory of embeddings from previous batches. Bank
+two views of every training item, drawn for several batches at a time; a
+stage at tier "none" feeds each item once instead, since its two views
+would be identical. The loss counts all in-batch pairs plus all pairs
+against a FIFO memory of embeddings from previous batches, and its cost
+past the one distance gemm follows the candidate and active pairs. Bank
 entries are constants: no gradient flows into them. Training proceeds in
 stages of increasing transform magnitude, later stages mixing in
 unaugmented reference items as extra negatives and ground-truth
@@ -16,6 +19,7 @@ import math
 import struct
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,6 +31,11 @@ ENCODER_MAGIC = b"ISCW"
 ENCODER_VERSION = 1
 
 _GRAD_EPS = 1e-12
+
+# run_stage draws the views of this many batches with one augment_batch call
+# per view: the per-call cost dominates at one batch, and a whole epoch at
+# once would only raise peak memory.
+_AUGMENT_BLOCK_BATCHES = 8
 
 
 @dataclass(frozen=True)
@@ -199,18 +208,20 @@ def contrastive_loss(
     # negative x_j, -1/d pulls it toward a positive one, and
     # grad_i = sum_j w_ij (x_j - e_i). Coincident pairs (dist ~ 0) take
     # subgradient zero. Both entries of an in-batch pair are candidates, so
-    # each in-batch pair moves both of its rows. The weights go into a dense
-    # b x n matrix for one more gemm, which keeps the float summation order
-    # of the gradient.
+    # each in-batch pair moves both of its rows. The differences are taken
+    # per live pair, so bitwise-identical rows add exactly 0, and one
+    # bincount over flat (row, coordinate) indices sums them by row. On no
+    # live pair bincount returns int64 zeros, hence the cast.
     live = np.flatnonzero(active & (dist > _GRAD_EPS))
     coef = 1.0 / dist[live]
     coef[live >= n_neg] *= -1.0
-    w = g  # the spent gemm output
-    w.fill(0.0)
-    w.reshape(-1)[pairs[live]] = coef
-    grad = w @ X
-    grad -= w.sum(axis=1)[:, None] * E
-    grad /= num_pairs
+    live_rows, dim = rows[live], E.shape[1]
+    terms = X[cols[live]]
+    terms -= E[live_rows]
+    terms *= coef[:, None]
+    flat = (live_rows * dim)[:, None] + np.arange(dim)
+    grad = np.bincount(flat.ravel(), terms.ravel(), b * dim).astype(np.float64, copy=False)
+    grad = grad.reshape(b, dim) / num_pairs
 
     # In-batch pairs count once (j > i); every (batch, bank) pair counts.
     total = hinge[active & ((cols >= b) | (cols > rows))].sum()
@@ -394,8 +405,10 @@ def make_positive_pair(
     tier-strength transform and a weak one.
 
     Each view is one :func:`augment_batch` call over the whole block, the
-    tier-strength view first. The "none" tier returns the source unchanged
-    twice and consumes no randomness.
+    tier-strength view first; :func:`run_stage` passes the rows of several
+    batches at once. The "none" tier returns the source unchanged twice and
+    consumes no randomness; :func:`run_stage` does not call this at that
+    tier and feeds the one unchanged view.
     """
     src = np.asarray(source, dtype=np.float64)
     block = np.atleast_2d(src)
@@ -435,8 +448,11 @@ class StageConfig:
 def config_from_dict(cls, d: dict, what: str):
     """Build the dataclass ``cls`` from a mapping read from a file.
 
-    Unknown and missing fields raise ValueError naming them, so a bad
-    config file ends in a one-line message instead of a TypeError.
+    Unknown and missing fields, and values not of their field's declared
+    type, raise ValueError naming them, so a bad config file ends in a
+    one-line message instead of a TypeError. A bool is no int here, and a
+    float field takes an int; a list field's items are checked by the
+    class itself.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -450,6 +466,16 @@ def config_from_dict(cls, d: dict, what: str):
     )
     if missing:
         raise ValueError(f"missing {what} field(s): {', '.join(missing)}")
+    for name, hint in get_type_hints(cls).items():
+        if name not in d:
+            continue
+        value = d[name]
+        expected = get_origin(hint) or hint
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"{what} field {name!r} must be {expected.__name__}, got {type(value).__name__}"
+            )
     return cls(**d)
 
 
@@ -482,12 +508,16 @@ def run_stage(
 ) -> tuple[Encoder, dict]:
     """Train one stage in place; returns the encoder and stage metrics.
 
-    Every batch holds two augmented views per sampled training item. When
-    enabled, unaugmented reference rows join the batch under their own
-    labels (pure negatives) and ground-truth query/reference pairs join
-    under a shared label (extra positives); reference and query rows are
-    never augmented. After each optimizer step the batch embeddings are
-    pushed into the bank.
+    Each epoch walks one permutation of the training items in batches.
+    Every batch holds two augmented views per item, both labelled by the
+    item; at tier "none" it holds the unchanged item once. The views are
+    drawn for a block of ``_AUGMENT_BLOCK_BATCHES`` batches at a time, one
+    :func:`augment_batch` call per view (:func:`make_positive_pair`), and
+    each batch slices its rows out of the block. When enabled, unaugmented
+    reference rows join the batch under their own labels (pure negatives)
+    and ground-truth query/reference pairs join under a shared label (extra
+    positives); reference and query rows are never augmented. After each
+    optimizer step the batch embeddings are pushed into the bank.
     """
     tier = get_tier(stage.tier)
     train_raw = world.training.matrix.astype(np.float64)
@@ -500,14 +530,18 @@ def run_stage(
 
     state: list[np.ndarray] | None = None
     epoch_losses: list[float] = []
+    block_rows = _AUGMENT_BLOCK_BATCHES * stage.batch_size
     for epoch in range(stage.epochs):
         order = rng.permutation(n_train)
         batch_losses: list[float] = []
         for batch, start in enumerate(range(0, n_train, stage.batch_size)):
+            offset = start % block_rows
+            if offset == 0:
+                block = train_raw[order[start : start + block_rows]]
+                views = (block,) if tier.name == "none" else make_positive_pair(block, tier, rng)
             items = order[start : start + stage.batch_size]
-            view_a, view_b = make_positive_pair(train_raw[items], tier, rng)
-            blocks = [view_a, view_b]
-            labels = [items, items]
+            blocks = [view[offset : offset + stage.batch_size] for view in views]
+            labels = [items] * len(views)
             if stage.include_reference_negatives:
                 refs = rng.choice(n_ref, size=min(stage.ref_per_batch, n_ref), replace=False)
                 blocks.append(ref_raw[refs])

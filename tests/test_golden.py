@@ -3,25 +3,43 @@
 The manifest is the one acceptance criterion 9 uses. A refactor either
 keeps these hashes or re-pins them for a stated cause, such as a new RNG
 draw order or float summation order, recorded in CHANGES.md; the oracles
-and gates must still pass unchanged. The hashes depend on float summation
-order, so a different BLAS kernel can move them as well.
+and gates must still pass unchanged.
+
+The hashes depend on float summation order, so the BLAS kernel moves them
+too. numpy's OpenBLAS wheels pick their kernel from the CPU at start-up
+(DYNAMIC_ARCH), so the run happens in a child interpreter with
+``OPENBLAS_CORETYPE=Haswell`` and ``OPENBLAS_NUM_THREADS=1``: the AVX2
+kernel, which any x86-64 CPU with AVX2 runs, and one thread. The hashes
+are pinned under that setting. A numpy built on another BLAS can still
+move them.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from copydet import RunManifest, reproduce_trend
+import copydet
+from copydet import RunManifest
 
 GOLDEN = {
-    "embeddings/queries.emb": "3b501ffc6a9feba38e67cffad9d19a5ac379367b706e6390fc3ec620077862ce",
-    "embeddings/queries_post.emb": "4ee5f5e3cd67f37d27d5b48c1896c274f74d38e5df5e1b8c66f39612ab716ecf",
-    "embeddings/reference.emb": "b30c17cb6b625763722f01330f07a228ad6bd663d827c6b215422175061bca79",
-    "embeddings/reference_post.emb": "71b1fb3a0e37c0b26f03d534f750f2f28a0e3e18b1c75b40b2fe96002b94f42b",
-    "embeddings/training.emb": "8171e3ddaedc6612500d961eaf0462d344be47b8438d85e471d469d15286a97c",
-    "report.json": "522b2ca7498b1204011c99483cfe16cb250f90acffdaa29ea782162ee81e1484",
+    "embeddings/queries.emb": "8016a1e7b33932ecf551760093ef2817172436e742480790d655555afefbb27b",
+    "embeddings/queries_post.emb": "371c6f0ce346a3aa0df5bd69f1ed4616aff3d24a62d5bc63551d5fb27cc9c4cc",
+    "embeddings/reference.emb": "f717f0fdcd338f9725a0717d9a96003997f500cc74053d40948b884bcc0e2e3a",
+    "embeddings/reference_post.emb": "98315e1302faef8b08d719bf657038dd9ad7e1fa424384c14bc44e40787fe53b",
+    "embeddings/training.emb": "aa4f8bd8a5996d5a1117852ec61e00cdbfd177c22569dfb44a78c57fe522899c",
+    "report.json": "9a8c5f783862a1f282a0b34da89e2038fcb0b28f1cd0dbcdaf64a0cd5e4394cd",
     "world/queries.emb": "eb54467f6d87aaa9f6f6ae3c1ff29394d4243a4b14179708aabea4bdbb474b36",
     "world/reference.emb": "3fe5213061a80ab9064e075fd84811eebf68da9d159abcf0f72b8eb0119778df",
     "world/training.emb": "27098f4adf593c31529947c7f5c3f2e91a0f4012a616671ad8398963ec116a44",
 }
+
+_CHILD = (
+    "import json, sys\n"
+    "from copydet import RunManifest, reproduce_trend\n"
+    "reproduce_trend(RunManifest.from_dict(json.loads(sys.argv[1])))\n"
+)
 
 
 def _manifest(out_dir):
@@ -37,11 +55,20 @@ def _manifest(out_dir):
     )
 
 
-def test_small_manifest_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+def test_small_manifest_artifacts_match_golden_hashes(tmp_path):
     # The report embeds the manifest hash, which covers out_dir: run from a
     # fixed relative path.
-    monkeypatch.chdir(tmp_path)
-    reproduce_trend(_manifest("run"))
+    src = str(Path(copydet.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run(
+        [sys.executable, "-c", _CHILD, _manifest("run").to_json()],
+        cwd=tmp_path, env=env, check=True,
+    )
     out = tmp_path / "run"
     pinned = sorted(["report.json"] + [p.relative_to(out).as_posix() for p in out.rglob("*.emb")])
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}

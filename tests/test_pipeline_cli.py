@@ -66,6 +66,22 @@ class TestManifest:
         with pytest.raises(ValueError, match="stage must be a JSON object"):
             StageConfig.from_dict([1, "weak"])
 
+    def test_mistyped_manifest_fields_rejected(self, tmp_path):
+        d = json.loads(tiny_manifest(tmp_path).to_json())
+        for field, value, message in [
+            ("seed", "3", "manifest field 'seed' must be int, got str"),
+            ("n_train", True, "manifest field 'n_train' must be int, got bool"),
+            ("out_dir", 7, "manifest field 'out_dir' must be str, got int"),
+            ("stages", {}, "manifest field 'stages' must be list, got dict"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                RunManifest.from_dict({**d, field: value})
+        bad_stage = {**d["stages"][0], "lr": "0.1"}
+        with pytest.raises(ValueError, match="^stage field 'lr' must be float, got str$"):
+            RunManifest.from_dict({**d, "stages": [bad_stage]})
+        # A float field takes an int; the value is kept as given.
+        assert RunManifest.from_dict({**d, "copy_rate": 1}).copy_rate == 1
+
     def test_bad_targets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="postprocess_targets"):
             tiny_manifest(tmp_path, postprocess_targets="everything")
@@ -316,6 +332,34 @@ class TestCli:
         rc = self._trend_with_stages(tmp_path, [dict(index=1, tier="weak", bogus=1)])
         assert rc == 1
         assert capsys.readouterr().err == "copydet: unknown stage field(s): bogus\n"
+
+    _MISTYPED = [
+        ("epochs", "2", "stage field 'epochs' must be int, got str"),
+        ("batch_size", 2.5, "stage field 'batch_size' must be int, got float"),
+        ("lr", "0.1", "stage field 'lr' must be float, got str"),
+        ("epochs", True, "stage field 'epochs' must be int, got bool"),
+    ]
+
+    @pytest.mark.parametrize("field, value, message", _MISTYPED)
+    def test_mistyped_stage_field_exit_1_trend(self, tmp_path, capsys, field, value, message):
+        stage = {**dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16), field: value}
+        rc = self._trend_with_stages(tmp_path, [stage])
+        assert rc == 1
+        assert capsys.readouterr().err == f"copydet: {message}\n"
+
+    @pytest.mark.parametrize("field, value, message", _MISTYPED)
+    def test_mistyped_stage_field_exit_1_train(self, tmp_path, capsys, field, value, message):
+        self._gen(tmp_path, capsys)
+        stages = tmp_path / "stages.json"
+        stage = {**dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16), field: value}
+        stages.write_text(json.dumps([stage]))
+        rc = main([
+            "train", "--world", str(tmp_path / "world"), "--stages", str(stages),
+            "--seed", "7", "--out", str(tmp_path / "enc.bin"), "--dim", "4",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"copydet: {message}\n"
+        assert not (tmp_path / "enc.bin").exists()
 
     def test_non_finite_step_exit_1(self, tmp_path, capsys):
         stage = dict(index=1, tier="weak", epochs=1, lr=1e308, batch_size=16)

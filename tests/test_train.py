@@ -263,6 +263,31 @@ class TestLossEdgeCases:
         np.testing.assert_allclose(loss, np.sqrt(2.0) / 3.0, rtol=1e-12)
         assert grad[0].any() and not grad[1].any()
 
+    def test_identical_gaussian_rows_add_exactly_zero(self):
+        # Continuous rows, off the 1/8 grid: the expanded squared distance of
+        # two bitwise-identical rows is round-off that can exceed _GRAD_EPS,
+        # which makes the pair live with weight ~1/d. It must still add
+        # exactly zero to both rows' gradients. Check: swap the twin for a
+        # row far from everything under a label of its own. The counted
+        # pairs and every other live pair of the row stay the same, so its
+        # gradient must not change by a single bit.
+        rng = np.random.default_rng(33)
+        cfg = LossConfig(neg_margin=4.0)
+        for _ in range(10):
+            emb = rng.standard_normal((10, 8))
+            labels = np.arange(10)
+            emb[1], labels[1] = emb[0], labels[0]
+            bank = MemoryBank(32, 8)
+            bank.push(rng.standard_normal((20, 8)), rng.integers(0, 10, size=20))
+            _, grad = contrastive_loss(emb, labels, bank, cfg)
+            far = 50.0 * unit_rows(rng, 1, 8)[0]
+            for twin, row in ((1, 0), (0, 1)):
+                alone, alone_labels = emb.copy(), labels.copy()
+                alone[twin], alone_labels[twin] = far, 99
+                _, ref = contrastive_loss(alone, alone_labels, bank, cfg)
+                assert ref[row].any()
+                np.testing.assert_array_equal(grad[row], ref[row])
+
     def test_non_finite_row_raises(self):
         # A NaN distance would fail every threshold and drop out silently.
         emb = np.array([[1.0, 0.0], [np.nan, 0.0]])
@@ -727,6 +752,93 @@ class TestRunStage:
         with pytest.raises(NonFiniteValue, match="stage 2, epoch 1, batch 3: non-finite loss or gradient"):
             run_stage(enc, world, stage, MemoryBank(64, 4), rng)
 
+    @staticmethod
+    def _record_losses(monkeypatch):
+        """Record the (inputs, labels) of every training step."""
+        real = copydet.train.encoder_loss_and_grads
+        fed = []
+
+        def recording(encoder, x, labels, bank, cfg):
+            fed.append((x.copy(), labels.copy()))
+            return real(encoder, x, labels, bank, cfg)
+
+        monkeypatch.setattr(copydet.train, "encoder_loss_and_grads", recording)
+        return fed
+
+    def test_each_epoch_augments_every_item_once_per_view(self, monkeypatch):
+        # 70 items in batches of 4: several augmentation blocks per epoch,
+        # the last block and the last batch short.
+        world = gen_world(seed=22, n_train=70, n_ref=16, n_query=8, d_in=8)
+        train_raw = world.training.matrix.astype(np.float64)
+        index_of = {row.tobytes(): i for i, row in enumerate(train_raw)}
+        real = copydet.train.augment_batch
+        calls = []  # (tier name, training indices, augmented rows)
+
+        def recording(x, tier, rng):
+            out = real(x, tier, rng)
+            calls.append((tier.name, [index_of[row.tobytes()] for row in x], out))
+            return out
+
+        monkeypatch.setattr(copydet.train, "augment_batch", recording)
+        fed = self._record_losses(monkeypatch)
+        rng = substream(8, "train")
+        stage = StageConfig(index=3, tier="strong", epochs=2, batch_size=4)
+        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng)
+
+        block_rows = copydet.train._AUGMENT_BLOCK_BATCHES * stage.batch_size
+        assert len(calls) == 2 * stage.epochs * -(-70 // block_rows)
+        views = {}
+        for name in ("strong", "weak"):
+            seen = [i for tier, idx, _ in calls if tier == name for i in idx]
+            assert [sorted(seen[:70]), sorted(seen[70:])] == [list(range(70))] * 2
+            views[name] = (np.array(seen), np.concatenate([o for t, _, o in calls if t == name]))
+        # Each batch is its items' strong views, then their weak views, both
+        # under the item labels, in the order the blocks drew them.
+        at = 0
+        for x, labels in fed:
+            k = len(labels) // 2
+            items = views["strong"][0][at : at + k]
+            np.testing.assert_array_equal(labels, np.concatenate([items, items]))
+            np.testing.assert_array_equal(x[:k], views["strong"][1][at : at + k])
+            np.testing.assert_array_equal(x[k:], views["weak"][1][at : at + k])
+            at += k
+        assert at == 2 * 70 and len(fed) == 2 * 18
+
+    def test_tier_none_batch_holds_each_item_once(self, monkeypatch):
+        world = self._world()
+        n_train = 64
+        train_raw = world.training.matrix.astype(np.float64)
+        ref_raw = world.reference.matrix.astype(np.float64)
+        query_raw = world.queries.matrix.astype(np.float64)
+        gt_rows = {(int(q[1:]), int(r[1:])) for q, r in world.gt}  # ids are Q/R + row
+        fed = self._record_losses(monkeypatch)
+        rng = substream(9, "train")
+        stage = StageConfig(
+            index=4, tier="none", include_reference_negatives=True,
+            include_gt_positives=True, epochs=2, batch_size=16,
+            ref_per_batch=4, gt_per_batch=2,
+        )
+        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng)
+
+        assert len(fed) == 2 * 4
+        for epoch in range(2):
+            epoch_items = []
+            for x, labels in fed[4 * epoch : 4 * epoch + 4]:
+                assert len(labels) == 16 + 4 + 2 * 2
+                items = labels[:16]
+                epoch_items += items.tolist()
+                np.testing.assert_array_equal(x[:16], train_raw[items])
+                refs = labels[16:20] - n_train
+                assert len(set(refs.tolist())) == 4 and refs.min() >= 0
+                np.testing.assert_array_equal(x[16:20], ref_raw[refs])
+                gt_refs = labels[20:22] - n_train
+                np.testing.assert_array_equal(labels[22:24], labels[20:22])
+                np.testing.assert_array_equal(x[22:24], ref_raw[gt_refs])
+                for q_row, r in zip(x[20:22], gt_refs):
+                    q = int(np.flatnonzero((query_raw == q_row).all(axis=1))[0])
+                    assert (q, int(r)) in gt_rows
+            assert sorted(epoch_items) == list(range(n_train))
+
     def test_stage_flags_add_rows(self):
         world = self._world()
         rng = substream(5, "train")
@@ -738,5 +850,6 @@ class TestRunStage:
             ref_per_batch=4, gt_per_batch=2,
         )
         run_stage(enc, world, stage, bank, rng)
-        # 4 batches of 32 views + 4 refs + 2*2 gt rows each.
-        assert len(bank) == 4 * (32 + 4 + 4)
+        # 4 batches of 16 items (one view at tier "none") + 4 refs + 2*2 gt
+        # rows each.
+        assert len(bank) == 4 * (16 + 4 + 4)
