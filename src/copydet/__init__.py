@@ -48,7 +48,7 @@ from .pipeline import (
     trend_report,
 )
 from .postprocess import NegSubConfig, subtract_negatives, subtract_negatives_batch
-from .search import Neighbor, topk, topk_batch
+from .search import topk, topk_batch
 from .train import (
     Encoder,
     LossConfig,
@@ -77,7 +77,6 @@ __all__ = [
     "LossConfig",
     "MemoryBank",
     "NegSubConfig",
-    "Neighbor",
     "NonFiniteValue",
     "RankedMatches",
     "RunManifest",

@@ -90,11 +90,7 @@ def _cmd_postprocess(args) -> int:
 def _cmd_search(args) -> int:
     queries = read_embeddings(args.queries)
     db = read_embeddings(args.db)
-    rows = match_candidates(queries, db, args.k)
-    if args.out:
-        write_matches_tsv(args.out, rows)
-    else:
-        write_matches_tsv(sys.stdout, rows)
+    write_matches_tsv(args.out or sys.stdout, match_candidates(queries, db, args.k))
     return 0
 
 

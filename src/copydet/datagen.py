@@ -11,15 +11,14 @@ standing in for pixel-level image manipulation.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingSet, read_embeddings, write_bytes_atomic, write_embeddings
+from .embedding import EmbeddingSet, read_embeddings, write_embeddings
 from .errors import FormatError
+from .metrics import read_gt_pairs, write_gt_csv
 
 TIER_NAMES = ("none", "weak", "intermediate", "strong")
 
@@ -194,11 +193,7 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> None:
     write_embeddings(world.training, out / "training.emb")
     write_embeddings(world.reference, out / "reference.emb")
     write_embeddings(world.queries, out / "queries.emb")
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(["query_id", "reference_id"])
-    writer.writerows(world.gt)
-    write_bytes_atomic(out / "gt.csv", text.getvalue().encode("utf-8"))
+    write_gt_csv(out / "gt.csv", world.gt)
 
 
 def load_world(world_dir: str | Path) -> SyntheticWorld:
@@ -208,14 +203,7 @@ def load_world(world_dir: str | Path) -> SyntheticWorld:
     reference = read_embeddings(d / "reference.emb")
     queries = read_embeddings(d / "queries.emb")
     gt_path = d / "gt.csv"
-    if not gt_path.exists():
-        raise FormatError(f"{gt_path}: ground truth file missing")
-    with open(gt_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["query_id", "reference_id"]:
-            raise FormatError(f"{gt_path}: unexpected header {header}")
-        gt = tuple((row[0], row[1]) for row in reader)
+    gt = tuple(read_gt_pairs(gt_path))
     qids = set(queries.ids)
     rids = set(reference.ids)
     for q, r in gt:

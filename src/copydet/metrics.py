@@ -12,15 +12,19 @@ metrics unchanged.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .embedding import EmbeddingSet, write_bytes_atomic
 from .errors import EmptyGroundTruth, FormatError
 from .search import topk_batch
 
 Candidate = tuple[str, str, float]
+
+_GT_HEADER = ["query_id", "reference_id"]
 
 
 @dataclass(frozen=True)
@@ -42,18 +46,34 @@ class GroundTruth:
         return cls(unique)
 
 
-def read_gt_csv(path: str | Path) -> GroundTruth:
-    """Read a ``query_id,reference_id`` CSV with header."""
-    path = Path(path)
+def write_gt_csv(path: str | Path, pairs: Iterable[tuple[str, str]]) -> None:
+    """Write (query_id, reference_id) pairs as a CSV with header, atomically."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([_GT_HEADER, *pairs])
+    write_bytes_atomic(path, text.getvalue().encode("utf-8"))
+
+
+def read_gt_pairs(path: str | Path) -> list[tuple[str, str]]:
+    """Pairs of a ``query_id,reference_id`` CSV, in file order, each row one new pair."""
+    pairs: dict[tuple[str, str], None] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["query_id", "reference_id"]:
+        if header != _GT_HEADER:
             raise FormatError(f"{path}: unexpected header {header}")
-        try:
-            return GroundTruth.from_pairs((row[0], row[1]) for row in reader)
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+        for row in reader:
+            if len(row) != 2:
+                raise FormatError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            pair = (row[0], row[1])
+            if pair in pairs:
+                raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
+            pairs[pair] = None
+    return list(pairs)
+
+
+def read_gt_csv(path: str | Path) -> GroundTruth:
+    """Ground truth from a CSV written by :func:`write_gt_csv`."""
+    return GroundTruth(frozenset(read_gt_pairs(path)))
 
 
 @dataclass(frozen=True)
@@ -81,6 +101,15 @@ class RankedMatches:
         return len(self.entries)
 
 
+def _true_ranks(ranked: RankedMatches, gt: GroundTruth) -> Iterator[tuple[int, int]]:
+    """(true pairs so far, rank) at each rank that holds a true pair."""
+    tp = 0
+    for rank, (q, r, _) in enumerate(ranked.entries, start=1):
+        if (q, r) in gt.pairs:
+            tp += 1
+            yield tp, rank
+
+
 def micro_ap(ranked: RankedMatches, gt: GroundTruth) -> float:
     """Micro-average precision of the global ranking.
 
@@ -89,12 +118,10 @@ def micro_ap(ranked: RankedMatches, gt: GroundTruth) -> float:
     """
     if gt.positives < 1:
         raise EmptyGroundTruth("micro_ap needs at least one positive pair")
-    tp = 0
+    # Not sum(): from Python 3.12 it compensates, which changes the last bits.
     total = 0.0
-    for rank, (q, r, _) in enumerate(ranked.entries, start=1):
-        if (q, r) in gt.pairs:
-            tp += 1
-            total += tp / rank
+    for tp, rank in _true_ranks(ranked, gt):
+        total += tp / rank
     return total / gt.positives
 
 
@@ -109,25 +136,19 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
         raise EmptyGroundTruth("recall_at_precision needs at least one positive pair")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    best = 0.0
-    tp = 0
-    for rank, (q, r, _) in enumerate(ranked.entries, start=1):
-        if (q, r) in gt.pairs:
-            tp += 1
-            if tp / rank >= p:
-                best = max(best, tp / gt.positives)
-    return best
+    recalls = (tp / gt.positives for tp, rank in _true_ranks(ranked, gt) if tp / rank >= p)
+    return max(recalls, default=0.0)
 
 
 def match_candidates(
     queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int
 ) -> list[Candidate]:
     """Top ``per_query_k`` references per query as (query_id, reference_id, score), in query order."""
-    hits = topk_batch(queries, references, per_query_k)
+    idx, scores = topk_batch(queries, references, per_query_k)
     return [
-        (queries.ids[qi], references.ids[nb.index], nb.score)
-        for qi, per_query in enumerate(hits)
-        for nb in per_query
+        (qid, references.ids[i], s)
+        for qid, row_idx, row_scores in zip(queries.ids, idx.tolist(), scores.tolist())
+        for i, s in zip(row_idx, row_scores)
     ]
 
 
@@ -144,9 +165,14 @@ def write_matches_tsv(
     """Write ``query_id<TAB>reference_id<TAB>score`` lines.
 
     Scores use shortest round-trip float formatting so a reload ranks
-    identically. A path is replaced atomically.
+    identically. A path is replaced atomically. An id holding a tab would
+    not read back, so it raises ValueError before anything is written.
     """
-    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in candidates)
+    cands = list(candidates)
+    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in cands)
+    if lines.count("\t") != 2 * len(cands):
+        bad = next(i for c in cands for i in c[:2] if "\t" in i)
+        raise ValueError(f"id {bad!r} contains a tab, which matches.tsv cannot hold")
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(lines)
     else:
@@ -165,6 +191,9 @@ def read_matches_tsv(path: str | Path) -> RankedMatches:
             cands.append((parts[0], parts[1], float(parts[2])))
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: bad score {parts[2]!r}") from exc
+        # A nan compares false both ways, so the ranking would follow line order.
+        if not math.isfinite(cands[-1][2]):
+            raise FormatError(f"{path}:{ln}: non-finite score {parts[2]!r}")
     try:
         return RankedMatches.from_candidates(cands)
     except ValueError as exc:

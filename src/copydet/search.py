@@ -4,6 +4,7 @@ For unit-norm vectors the inner product equals cosine similarity and is
 monotone in negative Euclidean distance, so one metric serves matching,
 post-processing, and evaluation. No approximate structures: results are
 exact and deterministic, with ties broken by ascending database index.
+Hits come back as two arrays: database row indices and their scores.
 
 Queries are scored in row blocks, one gemm per block, so memory stays
 bounded by the block size however many queries there are.
@@ -11,7 +12,6 @@ bounded by the block size however many queries there are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -22,14 +22,6 @@ from .errors import DimMismatch
 # Cap on one float64 score block, whatever the query count. At 8192 database
 # rows a block still holds 16 queries, so per-block Python cost stays small.
 _BLOCK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    """One search hit: row index into the database set, inner-product score."""
-
-    index: int
-    score: float
 
 
 def row_blocks(rows: int, n: int) -> Iterator[slice]:
@@ -63,41 +55,36 @@ def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     return cols[order[first[:, None] + np.arange(m)]]
 
 
-def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> list[list[Neighbor]]:
+def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if queries.shape[1] != db.dim:
         raise DimMismatch(f"query dim {queries.shape[1]} != db dim {db.dim}")
-    n = db.count
-    if queries.shape[0] == 0 or n == 0:
-        return [[] for _ in range(queries.shape[0])]
-
-    db64 = db.matrix.astype(np.float64)
-    m = min(k, n)
-    out: list[list[Neighbor]] = []
-    for block in row_blocks(queries.shape[0], n):
-        scores = queries[block] @ db64.T
-        idx = select_topk(scores, m)
-        top = np.take_along_axis(scores, idx, axis=1)
-        out.extend(
-            [Neighbor(i, s) for i, s in zip(row_idx, row_top)]
-            for row_idx, row_top in zip(idx.tolist(), top.tolist())
-        )
-    return out
+    m = min(k, db.count)
+    idx, top = np.empty((queries.shape[0], m), dtype=np.int64), np.empty((queries.shape[0], m))
+    # select_topk needs m >= 1; with no queries row_blocks yields nothing.
+    if m:
+        db64 = db.matrix.astype(np.float64)
+        for block in row_blocks(queries.shape[0], db.count):
+            scores = queries[block] @ db64.T
+            idx[block] = select_topk(scores, m)
+            top[block] = np.take_along_axis(scores, idx[block], axis=1)
+    return idx, top
 
 
-def topk(query: np.ndarray, db: EmbeddingSet, k: int) -> list[Neighbor]:
+def topk(query: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k rows of ``db`` by inner product with ``query``.
 
-    Returns min(k, db.count) neighbors sorted by score descending, ties by
-    ascending index.
+    Returns the int64 indices and float64 scores of the min(k, db.count)
+    best rows, sorted by score descending, ties by ascending index.
     """
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1:
         raise DimMismatch(f"expected a 1-d query, got shape {q.shape}")
-    return _topk_matrix(q[None, :], db, k)[0]
+    idx, top = _topk_matrix(q[None, :], db, k)
+    return idx[0], top[0]
 
 
-def topk_batch(queries: EmbeddingSet, db: EmbeddingSet, k: int) -> list[list[Neighbor]]:
-    """Per-query :func:`topk` over a whole query set, in query order."""
+def topk_batch(queries: EmbeddingSet, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query :func:`topk` over a query set: (queries.count, min(k, db.count)) arrays."""
     return _topk_matrix(queries.matrix.astype(np.float64), db, k)

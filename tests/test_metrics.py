@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from copydet import (
     EmbeddingSet,
     EmptyGroundTruth,
+    FormatError,
     GroundTruth,
     RankedMatches,
     build_candidates,
     micro_ap,
+    read_gt_csv,
     read_matches_tsv,
     recall_at_precision,
     write_matches_tsv,
 )
+from copydet.metrics import read_gt_pairs, write_gt_csv
 
 
 def ap_oracle(entries, gt_pairs, positives):
@@ -247,8 +250,9 @@ class TestBuildCandidates:
         got = build_candidates(queries, refs, 3)
         solo = []
         for i in range(queries.count):
-            for h in topk(queries.row(i), refs, 3):
-                solo.append((queries.ids[i], refs.ids[h.index], h.score))
+            idx, scores = topk(queries.row(i), refs, 3)
+            for j, s in zip(idx.tolist(), scores.tolist()):
+                solo.append((queries.ids[i], refs.ids[j], s))
         want = RankedMatches.from_candidates(solo)
         assert [(q, r) for q, r, _ in got.entries] == [(q, r) for q, r, _ in want.entries]
         np.testing.assert_allclose(
@@ -270,3 +274,30 @@ class TestMatchesTsv:
         buf = io.StringIO()
         write_matches_tsv(buf, [("q", "r", 0.5)])
         assert buf.getvalue() == "q\tr\t0.5\n"
+
+    def test_tab_in_id_rejected_before_writing(self, tmp_path):
+        cands = [("q", "r", 0.5), ("q", "r\t1", 0.25)]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"'r\\t1'"):
+            write_matches_tsv(buf, cands)
+        assert buf.getvalue() == ""
+        with pytest.raises(ValueError):
+            write_matches_tsv(tmp_path / "m.tsv", cands)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, score):
+        path = tmp_path / "m.tsv"
+        path.write_text(f"q1\tr1\t0.5\nq2\tr2\t{score}\n")
+        with pytest.raises(FormatError, match=r"m\.tsv:2: non-finite score"):
+            read_matches_tsv(path)
+
+
+class TestGtCsv:
+    def test_round_trip_keeps_file_order_and_bytes(self, tmp_path):
+        pairs = [("q2", "r9"), ("q1", "r3"), ("q3", "r1")]
+        path = tmp_path / "gt.csv"
+        write_gt_csv(path, pairs)
+        assert path.read_bytes() == b"query_id,reference_id\r\nq2,r9\r\nq1,r3\r\nq3,r1\r\n"
+        assert read_gt_pairs(path) == pairs
+        assert read_gt_csv(path).pairs == frozenset(pairs)

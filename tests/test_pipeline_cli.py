@@ -14,6 +14,7 @@ from copydet import (
     read_matches_tsv,
     reproduce_trend,
     subtract_negatives_batch,
+    write_embeddings,
 )
 from copydet.cli import main
 from copydet.pipeline import _postprocess_eval, train_and_embed
@@ -287,6 +288,39 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 32
+
+    def test_search_tab_in_id_exit_1_writes_nothing(self, tmp_path, capsys):
+        ids = EmbeddingSet(("r\t1", "r2"), np.eye(2, dtype=np.float32))
+        write_embeddings(ids, tmp_path / "ids.emb")
+        rc = main([
+            "search", "--queries", str(tmp_path / "ids.emb"), "--db", str(tmp_path / "ids.emb"),
+            "--out", str(tmp_path / "m.tsv"),
+        ])
+        assert rc == 1
+        assert "'r\\t1' contains a tab" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("row, message", [
+        ("Q000001", "gt.csv:3: expected 2 fields, got 1"),
+        ("Q000001,R000001,R000002", "gt.csv:3: expected 2 fields, got 3"),
+        (None, "gt.csv:3: duplicate pair"),
+    ])
+    def test_malformed_gt_exit_2(self, tmp_path, capsys, command, row, message):
+        self._gen(tmp_path, capsys)
+        world = tmp_path / "world"
+        lines = (world / "gt.csv").read_text().splitlines()
+        # Header, first pair, then the bad row (None repeats the first pair).
+        lines.insert(2, row or lines[1])
+        (world / "gt.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "m.tsv").write_text("")
+        argv = {
+            "train": ["train", "--world", str(world), "--seed", "7", "--out", str(tmp_path / "e.bin")],
+            "eval": ["eval", "--gt", str(world / "gt.csv"), "--pred", str(tmp_path / "m.tsv")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("copydet: ") and message in err
 
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["embed", "--encoder", str(tmp_path / "none.bin"),

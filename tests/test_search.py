@@ -30,18 +30,19 @@ def unit_set(rng, count, dim, prefix="r"):
 class TestTopk:
     def test_exact_match(self):
         db = EmbeddingSet(("a", "b"), np.array([[1, 0], [0, 1]], dtype=np.float32))
-        hits = topk(np.array([1.0, 0.0]), db, 1)
-        assert [(h.index, h.score) for h in hits] == [(0, 1.0)]
+        idx, scores = topk(np.array([1.0, 0.0]), db, 1)
+        assert list(zip(idx.tolist(), scores.tolist())) == [(0, 1.0)]
 
     def test_analytic_scores(self):
         db = EmbeddingSet(("a", "b"), np.array([[0, 1], [0.6, 0.8]], dtype=np.float32))
-        hits = topk(np.array([1.0, 0.0]), db, 2)
-        assert [h.index for h in hits] == [1, 0]
-        np.testing.assert_allclose([h.score for h in hits], [0.6, 0.0], atol=1e-6)
+        idx, scores = topk(np.array([1.0, 0.0]), db, 2)
+        assert idx.tolist() == [1, 0]
+        np.testing.assert_allclose(scores, [0.6, 0.0], atol=1e-6)
 
     def test_k_larger_than_db(self):
         db = unit_set(np.random.default_rng(0), 3, 4)
-        assert len(topk(db.row(0), db, 10)) == 3
+        idx, scores = topk(db.row(0), db, 10)
+        assert len(idx) == len(scores) == 3
 
     def test_dim_mismatch(self):
         db = unit_set(np.random.default_rng(0), 3, 4)
@@ -51,8 +52,8 @@ class TestTopk:
     def test_tie_break_ascending_index(self):
         row = np.array([0.6, 0.8], dtype=np.float32)
         db = EmbeddingSet(("a", "b", "c"), np.stack([row, [1, 0], row]))
-        hits = topk(np.array([0.6, 0.8]), db, 2)
-        assert [h.index for h in hits] == [0, 2]
+        idx, _ = topk(np.array([0.6, 0.8]), db, 2)
+        assert idx.tolist() == [0, 2]
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(42)
@@ -60,11 +61,11 @@ class TestTopk:
         for _ in range(20):
             q = rng.standard_normal(16)
             q /= np.linalg.norm(q)
-            got = topk(q, db, 10)
+            idx, scores = topk(q, db, 10)
             want = brute_force_topk(q, db.matrix, 10)
-            assert [h.index for h in got] == [i for i, _ in want]
+            assert idx.tolist() == [i for i, _ in want]
             np.testing.assert_allclose(
-                [h.score for h in got], [s for _, s in want], atol=1e-6
+                scores, [s for _, s in want], atol=1e-6
             )
 
     def test_monotone_superset_in_k(self):
@@ -72,8 +73,8 @@ class TestTopk:
         db = unit_set(rng, 200, 8)
         q = rng.standard_normal(8)
         for k in range(1, 20):
-            small = {h.index for h in topk(q, db, k)}
-            big = {h.index for h in topk(q, db, k + 1)}
+            small = set(topk(q, db, k)[0].tolist())
+            big = set(topk(q, db, k + 1)[0].tolist())
             assert small <= big
 
 
@@ -82,25 +83,41 @@ class TestTopkBatch:
         rng = np.random.default_rng(1)
         db = unit_set(rng, 50, 8)
         queries = unit_set(rng, 1, 8, prefix="q")
-        batch = topk_batch(queries, db, 5)
-        single = topk(queries.row(0), db, 5)
-        assert batch[0] == single
+        idx, scores = topk_batch(queries, db, 5)
+        single_idx, single_scores = topk(queries.row(0), db, 5)
+        np.testing.assert_array_equal(idx[0], single_idx)
+        np.testing.assert_array_equal(scores[0], single_scores)
 
     def test_empty_query_set(self):
         db = unit_set(np.random.default_rng(1), 10, 4)
         queries = EmbeddingSet((), np.empty((0, 4), dtype=np.float32))
-        assert topk_batch(queries, db, 3) == []
+        idx, scores = topk_batch(queries, db, 3)
+        assert idx.shape == scores.shape == (0, 3)
+
+    def test_empty_database(self):
+        db = EmbeddingSet((), np.empty((0, 4), dtype=np.float32))
+        queries = unit_set(np.random.default_rng(1), 3, 4, prefix="q")
+        idx, scores = topk_batch(queries, db, 3)
+        assert idx.shape == scores.shape == (3, 0)
+        idx, scores = topk(queries.row(0), db, 3)
+        assert idx.shape == scores.shape == (0,)
+
+    def test_array_dtypes(self):
+        rng = np.random.default_rng(2)
+        idx, scores = topk_batch(unit_set(rng, 4, 4, prefix="q"), unit_set(rng, 9, 4), 5)
+        assert idx.dtype == np.int64 and scores.dtype == np.float64
+        assert idx.shape == scores.shape == (4, 5)
 
     def test_rows_match_independent_calls(self):
         rng = np.random.default_rng(11)
         db = unit_set(rng, 4096, 16)
         queries = unit_set(rng, 64, 16, prefix="q")
-        batch = topk_batch(queries, db, 7)
+        idx, scores = topk_batch(queries, db, 7)
         for qi in range(queries.count):
-            solo = topk(queries.row(qi), db, 7)
-            assert [h.index for h in batch[qi]] == [h.index for h in solo]
+            solo_idx, solo_scores = topk(queries.row(qi), db, 7)
+            assert idx[qi].tolist() == solo_idx.tolist()
             np.testing.assert_allclose(
-                [h.score for h in batch[qi]], [h.score for h in solo], atol=1e-6
+                scores[qi], solo_scores, atol=1e-6
             )
 
     def test_partition_invariance(self):
@@ -110,10 +127,10 @@ class TestTopkBatch:
         whole = topk_batch(queries, db, 4)
         first = EmbeddingSet(queries.ids[:13], queries.matrix[:13])
         second = EmbeddingSet(queries.ids[13:], queries.matrix[13:])
-        split = topk_batch(first, db, 4) + topk_batch(second, db, 4)
-        assert [[(h.index, h.score) for h in row] for row in whole] == [
-            [(h.index, h.score) for h in row] for row in split
-        ]
+        parts = zip(topk_batch(first, db, 4), topk_batch(second, db, 4))
+        split = [np.concatenate(p) for p in parts]
+        for got, want in zip(whole, split):
+            np.testing.assert_array_equal(got, want)
 
     def test_repeat_determinism(self):
         rng = np.random.default_rng(13)
@@ -121,7 +138,8 @@ class TestTopkBatch:
         queries = unit_set(rng, 16, 8, prefix="q")
         a = topk_batch(queries, db, 5)
         b = topk_batch(queries, db, 5)
-        assert a == b
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSelectTopk:
@@ -154,10 +172,10 @@ class TestSelectTopk:
         db = EmbeddingSet(tuple(f"r{i}" for i in range(4096)), np.tile(base, (512, 1)))
         queries = unit_set(rng, 100, 16, prefix="q")
         assert len(list(row_blocks(queries.count, db.count))) > 1
-        hits = topk_batch(queries, db, 12)
+        idx, _ = topk_batch(queries, db, 12)
         for qi in range(queries.count):
             want = brute_force_topk(queries.row(qi), db.matrix, 12)
-            assert [h.index for h in hits[qi]] == [i for i, _ in want]
+            assert idx[qi].tolist() == [i for i, _ in want]
 
     def test_winners_only_in_tail_columns(self):
         # Groups cover the first g * (n // g) columns: 192 of 200 at m = 3
