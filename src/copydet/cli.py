@@ -112,25 +112,11 @@ def _cmd_eval(args) -> int:
 
 
 def _manifest_from_args(args) -> RunManifest:
-    manifest = RunManifest(seed=args.seed, out_dir=args.out_dir)
-    for name in (
-        "n_train", "n_ref", "n_query", "copy_rate", "per_query_k",
-        "bank_capacity", "postprocess_targets", "world_tier", "encoder_dim",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(manifest, name, value)
-    if args.dim is not None:
-        manifest.d_in = args.dim
-    if args.n is not None:
-        manifest.negsub_n = args.n
-    if args.k is not None:
-        manifest.negsub_k = args.k
-    if args.beta is not None:
-        manifest.negsub_beta = args.beta
-    if args.stages is not None:
-        manifest.stages = _load_stages(args.stages)
-    return manifest
+    # Each run flag's dest is the manifest field it sets; unset flags are None.
+    d = RunManifest(seed=args.seed, out_dir=args.out_dir).to_dict()
+    d.update((name, value) for name, value in vars(args).items() if name in d and value is not None)
+    d["stages"] = _load_stages(args.stages_file)
+    return RunManifest(**d)
 
 
 def _cmd_reproduce_trend(args) -> int:
@@ -151,16 +137,16 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-train", type=int, default=None)
     p.add_argument("--n-ref", type=int, default=None)
     p.add_argument("--n-query", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None, help="raw feature dimension")
+    p.add_argument("--dim", dest="d_in", type=int, default=None, help="raw feature dimension")
     p.add_argument("--copy-rate", type=float, default=None)
     p.add_argument("--world-tier", choices=TIER_NAMES, default=None)
     p.add_argument("--encoder-dim", type=int, default=None)
     p.add_argument("--bank-capacity", type=int, default=None)
     p.add_argument("--per-query-k", type=int, default=None)
-    p.add_argument("--stages", default=None, help="JSON file with the stage schedule")
-    p.add_argument("--n", type=int, default=None, help="post-process iterations")
-    p.add_argument("--k", type=int, default=None, help="post-process neighbors per iteration")
-    p.add_argument("--beta", type=float, default=None, help="post-process subtraction factor")
+    p.add_argument("--stages", dest="stages_file", default=None, help="JSON file with the stage schedule")
+    p.add_argument("--n", dest="negsub_n", type=int, default=None, help="post-process iterations")
+    p.add_argument("--k", dest="negsub_k", type=int, default=None, help="post-process neighbors per iteration")
+    p.add_argument("--beta", dest="negsub_beta", type=float, default=None, help="post-process subtraction factor")
     p.add_argument("--postprocess-targets", choices=POSTPROCESS_TARGETS, default=None)
 
 

@@ -117,8 +117,6 @@ class SyntheticWorld:
     reference: EmbeddingSet
     queries: EmbeddingSet
     gt: tuple[tuple[str, str], ...]
-    copy_rate: float | None = None
-    tier: str | None = None
 
     @property
     def dim(self) -> int:
@@ -175,8 +173,6 @@ def gen_world(
         reference=EmbeddingSet(ref_ids, ref.astype(np.float32), unit_norm=False),
         queries=EmbeddingSet(query_ids, queries.astype(np.float32), unit_norm=False),
         gt=gt,
-        copy_rate=copy_rate,
-        tier=tier,
     )
 
 

@@ -58,12 +58,13 @@ class MemoryBank:
 
     Stored embeddings are plain copies of past batch outputs; they are
     never touched by gradients. Once full, each push evicts the oldest
-    entries first.
+    entries first. Capacity 0 is "no bank": it holds nothing, and a push
+    is a no-op.
     """
 
     def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._emb = np.zeros((capacity, dim), dtype=np.float64)
         self._sq_norms = np.zeros(capacity, dtype=np.float64)
@@ -91,11 +92,12 @@ class MemoryBank:
         n = emb.shape[0]
         # Of a push longer than the ring, only the newest `capacity` rows survive.
         first = max(0, n - self.capacity)
-        slots = (self._cursor + np.arange(first, n)) % self.capacity
+        ring = max(self.capacity, 1)
+        slots = (self._cursor + np.arange(first, n)) % ring
         self._emb[slots] = emb[first:]
         self._sq_norms[slots] = _sq_norms(emb[first:])
         self._labels[slots] = labs[first:]
-        self._cursor = (self._cursor + n) % self.capacity
+        self._cursor = (self._cursor + n) % ring
         self._size = min(self._size + n, self.capacity)
 
     def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,14 +115,10 @@ class MemoryBank:
         """
         size = math.prod(shape)
         buf = self._scratch.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            grown = 0 if buf is None or buf.dtype != dtype else 2 * buf.size
+        if buf is None or buf.size < size:
+            grown = 0 if buf is None else 2 * buf.size
             buf = self._scratch[name] = np.empty(max(size, grown), dtype)
         return buf[:size].reshape(shape)
-
-
-def _fresh(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    return np.empty(shape, dtype)
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -140,6 +138,7 @@ def contrastive_loss(
     labels max(0, neg_margin - d), with d the Euclidean distance. The mean
     runs over all counted pairs, active or not. Returns the loss and the
     gradient with respect to each batch embedding; bank entries get none.
+    ``bank=None`` is an empty bank.
 
     Few pairs are active, so past the one distance gemm the work follows
     the candidate pairs: the same-label ones, and the different-label ones
@@ -152,15 +151,15 @@ def contrastive_loss(
     b = E.shape[0]
     if b == 0:
         raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    bank_e, bank_sq, bank_labs = (
-        bank.live() if bank is not None else (E[:0], np.zeros(0), labs[:0])
-    )
+    if bank is None:
+        bank = MemoryBank(0, E.shape[1])
+    bank_e, bank_sq, bank_labs = bank.live()
     m = bank_e.shape[0]
     n = b + m
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
-    buffer = bank._buffer if bank is not None else _fresh
+    buffer = bank._buffer
     X = buffer("rows", (n, E.shape[1]))
     X[:b], X[b:] = E, bank_e
     sq = np.concatenate((_sq_norms(E), bank_sq))
@@ -170,9 +169,11 @@ def contrastive_loss(
 
     # Same-label pairs, compared only in the columns whose label occurs in
     # the batch: the b x b block and a few bank entries. The diagonal is no
-    # pair. Flat indices address the b x n pair matrix.
+    # pair. Flat indices address the b x n pair matrix. The lookup table
+    # spans the batch's label range, at most n_train + n_ref bools; numpy's
+    # default would sort all n labels once that range exceeds about 6n.
     X_labs = np.concatenate((labs, bank_labs))
-    shared = np.flatnonzero(np.isin(X_labs, labs))
+    shared = np.flatnonzero(np.isin(X_labs, labs, kind="table"))
     r, c = np.nonzero(labs[:, None] == X_labs[shared])
     c = shared[c]
     same = r * n + c
@@ -267,23 +268,22 @@ class Encoder:
             (np.asarray(w, dtype=np.float64), np.asarray(b_, dtype=np.float64))
             for w, b_ in layers
         ]
-        for w, b_ in self.layers:
+        for i, (w, b_) in enumerate(self.layers):
             if w.ndim != 2 or b_.shape != (w.shape[1],):
                 raise ShapeMismatch(f"layer shapes {w.shape} / {b_.shape}")
-        if len(self.layers) == 2 and self.layers[0][0].shape[1] != self.layers[1][0].shape[0]:
-            raise ShapeMismatch("hidden layer width mismatch between layers")
+            if i and w.shape[0] != self.layers[i - 1][0].shape[1]:
+                raise ShapeMismatch("hidden layer width mismatch between layers")
 
     @classmethod
     def init(cls, d_in: int, d_out: int, hidden: int = 0, rng: np.random.Generator | None = None) -> "Encoder":
         """Random init, scaled by 1/sqrt(fan_in); biases zero."""
         if rng is None:
             rng = np.random.default_rng(0)
-        if hidden > 0:
-            w1 = rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)
-            w2 = rng.standard_normal((hidden, d_out)) / np.sqrt(hidden)
-            return cls([(w1, np.zeros(hidden)), (w2, np.zeros(d_out))])
-        w = rng.standard_normal((d_in, d_out)) / np.sqrt(d_in)
-        return cls([(w, np.zeros(d_out))])
+        widths = [d_in, hidden, d_out] if hidden > 0 else [d_in, d_out]
+        return cls([
+            (rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in), np.zeros(fan_out))
+            for fan_in, fan_out in zip(widths, widths[1:])
+        ])
 
     @property
     def d_in(self) -> int:
@@ -301,14 +301,12 @@ class Encoder:
         return self._forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
 
     def _forward_cached(self, x: np.ndarray):
-        hidden = None
-        if len(self.layers) == 2:
-            (w1, b1), (w2, b2) = self.layers
-            hidden = np.tanh(x @ w1 + b1)
-            z = hidden @ w2 + b2
-        else:
-            w1, b1 = self.layers[0]
-            z = x @ w1 + b1
+        # inputs[i] is layer i's input: x, then the tanh of each hidden layer.
+        inputs = [x]
+        for w, b_ in self.layers[:-1]:
+            inputs.append(np.tanh(inputs[-1] @ w + b_))
+        w, b_ = self.layers[-1]
+        z = inputs[-1] @ w + b_
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(z, axis=1)
         # An overflowing norm would silently turn z / norms into zeros.
@@ -317,23 +315,22 @@ class Encoder:
         if np.any(norms < ZERO_NORM):
             raise ZeroVector("encoder produced a zero descriptor")
         e = z / norms[:, None]
-        return e, (x, hidden, e, norms)
+        return e, (inputs, e, norms)
 
     def _backward(self, cache, grad_e: np.ndarray) -> list[np.ndarray]:
-        x, hidden, e, norms = cache
-        # Through z -> z/||z||: dz = (g - (g.e) e) / ||z||, per row.
-        grad_z = (grad_e - np.sum(grad_e * e, axis=1)[:, None] * e) / norms[:, None]
-        if len(self.layers) == 2:
-            (_, _), (w2, _) = self.layers
-            gw2 = hidden.T @ grad_z
-            gb2 = grad_z.sum(axis=0)
-            grad_h = (grad_z @ w2.T) * (1.0 - hidden * hidden)
-            gw1 = x.T @ grad_h
-            gb1 = grad_h.sum(axis=0)
-            return [gw1, gb1, gw2, gb2]
-        gw1 = x.T @ grad_z
-        gb1 = grad_z.sum(axis=0)
-        return [gw1, gb1]
+        inputs, e, norms = cache
+        # Through z -> z/||z||: dz = (g - (g.e) e) / ||z||, per row. Then
+        # from the last layer back: grad is the gradient of layer i's affine
+        # output, and its input is the tanh of layer i-1's, so the chain
+        # through tanh multiplies by 1 - inputs[i]^2.
+        grad = (grad_e - np.sum(grad_e * e, axis=1)[:, None] * e) / norms[:, None]
+        grads: list[np.ndarray] = []
+        for i in reversed(range(len(self.layers))):
+            h = inputs[i]
+            grads[:0] = [h.T @ grad, grad.sum(axis=0)]
+            if i:
+                grad = (grad @ self.layers[i][0].T) * (1.0 - h * h)
+        return grads
 
     def encode_set(self, es: EmbeddingSet) -> EmbeddingSet:
         """Encode a raw set into a unit-norm descriptor set, ids preserved."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from copydet import (
     subtract_negatives_batch,
     write_embeddings,
 )
-from copydet.cli import main
+from copydet.cli import _add_run_flags, _manifest_from_args, build_parser, main
 from copydet.pipeline import _postprocess_eval, train_and_embed
 
 
@@ -438,3 +439,77 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert "pool_delta_micro_ap" in report
         assert report["command"] == "negative-swap"
+
+    @pytest.mark.parametrize("capacity, code", [(0, 0), (-1, 1)])
+    def test_bank_capacity_zero_trains_without_a_bank(self, tmp_path, capsys, capacity, code):
+        self._gen(tmp_path, capsys)
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16)]))
+        rc = main([
+            "train", "--world", str(tmp_path / "world"), "--stages", str(stages),
+            "--seed", "7", "--out", str(tmp_path / "enc.bin"), "--dim", "4",
+            "--bank-capacity", str(capacity),
+        ])
+        assert rc == code
+        rc = main([
+            "reproduce-trend", "--seed", "5", "--out-dir", str(tmp_path / "run"),
+            "--n-train", "64", "--n-ref", "64", "--n-query", "32", "--dim", "8",
+            "--encoder-dim", "4", "--bank-capacity", str(capacity), "--stages", str(stages),
+        ])
+        assert rc == code
+        if code:
+            err = capsys.readouterr().err
+            assert err == "copydet: capacity must be >= 0, got -1\n" * 2
+        else:
+            assert (tmp_path / "enc.bin").exists()
+            manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+            assert manifest["bank_capacity"] == 0
+
+
+# Every run flag but --seed, --out-dir and --stages, with a non-default
+# value and the manifest field it sets.
+_RUN_FLAGS = [
+    ("--n-train", "96", "n_train", 96),
+    ("--n-ref", "80", "n_ref", 80),
+    ("--n-query", "24", "n_query", 24),
+    ("--dim", "12", "d_in", 12),
+    ("--copy-rate", "0.5", "copy_rate", 0.5),
+    ("--world-tier", "weak", "world_tier", "weak"),
+    ("--encoder-dim", "6", "encoder_dim", 6),
+    ("--bank-capacity", "0", "bank_capacity", 0),
+    ("--per-query-k", "3", "per_query_k", 3),
+    ("--n", "2", "negsub_n", 2),
+    ("--k", "7", "negsub_k", 7),
+    ("--beta", "0.2", "negsub_beta", 0.2),
+    ("--postprocess-targets", "queries", "postprocess_targets", "queries"),
+]
+
+
+class TestRunFlags:
+    def test_table_names_every_run_flag(self):
+        p = argparse.ArgumentParser()
+        _add_run_flags(p)
+        flags = {flag for action in p._actions for flag in action.option_strings}
+        assert flags - {"-h", "--help"} == (
+            {flag for flag, _, _, _ in _RUN_FLAGS} | {"--seed", "--out-dir", "--stages"}
+        )
+
+    @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
+    @pytest.mark.parametrize("flag, value, field, expected", _RUN_FLAGS)
+    def test_flag_sets_its_manifest_field(self, tmp_path, command, flag, value, field, expected):
+        base = [command, "--seed", "4", "--out-dir", str(tmp_path)]
+        manifest = _manifest_from_args(build_parser().parse_args(base + [flag, value]))
+        default = RunManifest(seed=4, out_dir=str(tmp_path))
+        assert getattr(default, field) != expected
+        assert manifest.to_dict() == {**default.to_dict(), field: expected}
+
+    @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
+    def test_stages_flag_sets_the_schedule(self, tmp_path, command):
+        stages = [dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16)]
+        path = tmp_path / "stages.json"
+        path.write_text(json.dumps(stages))
+        argv = [command, "--seed", "4", "--out-dir", str(tmp_path), "--stages", str(path)]
+        manifest = _manifest_from_args(build_parser().parse_args(argv))
+        default = RunManifest(seed=4, out_dir=str(tmp_path))
+        assert manifest.stages == [StageConfig(**stages[0])]
+        assert manifest.to_dict() == {**default.to_dict(), "stages": [manifest.stages[0].to_dict()]}

@@ -294,6 +294,32 @@ class TestLossEdgeCases:
         with pytest.raises(NonFiniteValue, match="non-finite embedding"):
             contrastive_loss(emb, np.array([1, 2]), None, LossConfig())
 
+    def test_labels_spread_to_a_million(self):
+        # A label range far above 6 (b + m) is where numpy's default isin
+        # switches from its lookup table to a sort of every label.
+        rng = np.random.default_rng(10**6)
+        bank = MemoryBank(2048, 16)
+        bank_labels = rng.integers(0, 10**6, size=3000)
+        for chunk in np.array_split(np.arange(3000), 3):
+            bank.push(unit_rows(rng, len(chunk), 16), bank_labels[chunk])
+        items = np.concatenate((rng.integers(0, 10**6, size=24), bank_labels[-8:]))
+        emb, labels = unit_rows(rng, 64, 16), np.tile(items, 2)
+        loss, grad = assert_matches_reference(emb, labels, bank, LossConfig(neg_margin=1.2))
+        assert np.ptp(labels) > 6 * (64 + len(bank))
+        assert loss > 0.0 and grad.any()
+
+    def test_empty_bank_is_no_bank(self):
+        rng = np.random.default_rng(0)
+        for trial in range(10):
+            emb = unit_rows(rng, 1 + trial, 4)
+            labels = rng.integers(0, 3, size=1 + trial)
+            empty = MemoryBank(0, 4)
+            empty.push(unit_rows(rng, 5, 4), np.arange(5))
+            loss, grad = contrastive_loss(emb, labels, empty, LossConfig())
+            none_loss, none_grad = contrastive_loss(emb, labels, None, LossConfig())
+            assert loss == none_loss
+            np.testing.assert_array_equal(grad, none_grad)
+
     def test_full_bank_of_20000(self):
         rng = np.random.default_rng(20000)
         bank = MemoryBank(20000, 16)
@@ -430,6 +456,18 @@ class TestMemoryBank:
             assert sorted(live_labs.tolist()) == sorted(expected)
             np.testing.assert_array_equal(live_emb, live_labs[:, None] * np.array([1.0, -0.5]))
             np.testing.assert_array_equal(live_sq, np.einsum("ij,ij->i", live_emb, live_emb))
+
+    def test_capacity_zero_holds_nothing(self):
+        bank = MemoryBank(0, 3)
+        for size in (1, 4, 0):
+            bank.push(np.ones((size, 3)), np.arange(size))
+            assert len(bank) == 0
+            emb, sq, labels = bank.live()
+            assert emb.shape == (0, 3) and sq.shape == (0,) and labels.shape == (0,)
+
+    def test_negative_capacity_raises(self):
+        with pytest.raises(ValueError, match="capacity must be >= 0"):
+            MemoryBank(-1, 3)
 
     def test_push_shape_mismatch(self):
         bank = MemoryBank(4, 3)
@@ -602,6 +640,35 @@ class TestCheckpointProperties:
 
 
 class TestEncoderGradients:
+    def test_two_layer_init_draws_in_layer_order(self):
+        enc = Encoder.init(6, 4, hidden=5, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        w1 = rng.standard_normal((6, 5)) / np.sqrt(6)
+        w2 = rng.standard_normal((5, 4)) / np.sqrt(5)
+        for got, want in zip(enc.params(), [w1, np.zeros(5), w2, np.zeros(4)]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_two_layer_backward_equals_closed_form(self):
+        rng = np.random.default_rng(9)
+        enc = Encoder.init(6, 4, hidden=5, rng=rng)
+        x = rng.standard_normal((7, 6))
+        grad_e = rng.standard_normal((7, 4))
+        e, cache = enc._forward_cached(x)
+        grads = enc._backward(cache, grad_e)
+
+        (w1, b1), (w2, b2) = enc.layers
+        h = np.tanh(x @ w1 + b1)
+        z = h @ w2 + b2
+        norms = np.linalg.norm(z, axis=1)
+        np.testing.assert_array_equal(e, z / norms[:, None])
+        gz = (grad_e - np.sum(grad_e * e, axis=1)[:, None] * e) / norms[:, None]
+        gw2, gb2 = h.T @ gz, gz.sum(axis=0)
+        gh = (gz @ w2.T) * (1.0 - h * h)
+        gw1, gb1 = x.T @ gh, gh.sum(axis=0)
+        assert len(grads) == 4
+        for got, want in zip(grads, [gw1, gb1, gw2, gb2]):
+            np.testing.assert_array_equal(got, want)
+
     def test_matches_fd_across_configs(self):
         rng = np.random.default_rng(42)
         for trial in range(8):
