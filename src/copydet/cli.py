@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -97,7 +98,9 @@ def _cmd_search(args) -> int:
 def _cmd_eval(args) -> int:
     gt = read_gt_csv(args.gt)
     ranked = read_matches_tsv(args.pred)
-    recall_key = "recall_at_p90" if args.p == 0.9 else f"recall_at_p{round(args.p * 100)}"
+    # p as a percentage, never rounded to a whole one: 0.905 gives
+    # recall_at_p90.5. Twelve digits drop the float error of 0.9 * 100.
+    recall_key = f"recall_at_p{args.p * 100:.12g}"
     print(
         json.dumps(
             {
@@ -150,7 +153,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--postprocess-targets", choices=POSTPROCESS_TARGETS, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="copydet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import ZERO_NORM, EmbeddingSet
 from .errors import DimMismatch, ZeroVector
-from .search import row_blocks, select_topk
+from .search import row_blocks, select_topk, transposed64
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ def _subtract_rows(
     """Run the iterations in place on the float64 rows of ``y``, block by block.
 
     Per iteration and block: one gemm against the pool, one top-k selection,
-    then the k subtractions in rank order, so each row sees the same float
-    sequence as a one-row run. ``ids`` name the rows in errors.
+    one gather of the k scaled neighbours, then the k subtractions in rank
+    order, so each row sees the same float sequence as a one-row run. The
+    neighbours come from the float32 pool; widening to float64 is exact.
+    ``ids`` name the rows in errors.
     """
     if y.shape[1] != negatives.dim:
         raise DimMismatch(f"descriptor dim {y.shape[1]} != negatives dim {negatives.dim}")
@@ -49,16 +51,18 @@ def _subtract_rows(
         return y
     if negatives.count < 1:
         raise ValueError("negatives set is empty")
-    neg = negatives.matrix.astype(np.float64)
+    neg_t = transposed64(negatives.matrix)
     # Pools smaller than k under-subtract: the scale stays beta / requested k.
     scale = cfg.beta / cfg.k
     m = min(cfg.k, negatives.count)
     for block in row_blocks(y.shape[0], negatives.count):
         rows = y[block]
         for _ in range(cfg.n):
-            idx = select_topk(rows @ neg.T, m)
+            idx = select_topk(rows @ neg_t, m)
+            scaled = negatives.matrix.take(idx, axis=0).astype(np.float64)
+            scaled *= scale
             for j in range(m):
-                rows -= scale * neg[idx[:, j]]
+                rows -= scaled[:, j]
             norms = np.linalg.norm(rows, axis=1)
             bad = np.flatnonzero(norms < ZERO_NORM)
             if bad.size:

@@ -31,6 +31,15 @@ def row_blocks(rows: int, n: int) -> Iterator[slice]:
         yield slice(start, min(start + step, rows))
 
 
+def transposed64(matrix: np.ndarray) -> np.ndarray:
+    """C-contiguous float64 transpose of ``matrix``, shape (dim, count).
+
+    Every score block is ``rows @ transposed64(db)``: a plain gemm on
+    contiguous operands takes BLAS's fast no-transpose path.
+    """
+    return np.ascontiguousarray(matrix.T, dtype=np.float64)
+
+
 def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     """Column indices of each row's ``m`` largest scores, shape (B, m).
 
@@ -47,9 +56,17 @@ def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     w = n // g
     group_max = scores[:, : g * w].reshape(b, w, g).max(axis=1)
     t = np.partition(group_max, g - m, axis=1)[:, g - m]
+    # A row shorter than numpy's ufunc buffer sends this broadcast compare
+    # down the buffered path, about 4x slower; a buffer no longer than one
+    # row (a multiple of 16, as numpy requires) keeps it unbuffered.
+    bufsize = np.setbufsize(max(16, min(n, np.getbufsize()) // 16 * 16))
+    try:
+        above = scores >= t[:, None]
+    finally:
+        np.setbufsize(bufsize)
     # Candidates come by row, then ascending column, and lexsort is stable:
     # sorting them by (row, -score) breaks ties by ascending column.
-    rows, cols = np.divmod(np.flatnonzero(scores >= t[:, None]), n)
+    rows, cols = np.divmod(np.flatnonzero(above), n)
     order = np.lexsort((-scores[rows, cols], rows))
     first = np.searchsorted(rows, np.arange(b))
     return cols[order[first[:, None] + np.arange(m)]]
@@ -64,9 +81,9 @@ def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndar
     idx, top = np.empty((queries.shape[0], m), dtype=np.int64), np.empty((queries.shape[0], m))
     # select_topk needs m >= 1; with no queries row_blocks yields nothing.
     if m:
-        db64 = db.matrix.astype(np.float64)
+        db_t = transposed64(db.matrix)
         for block in row_blocks(queries.shape[0], db.count):
-            scores = queries[block] @ db64.T
+            scores = queries[block] @ db_t
             idx[block] = select_topk(scores, m)
             top[block] = np.take_along_axis(scores, idx[block], axis=1)
     return idx, top

@@ -263,6 +263,43 @@ class TestCli:
         assert report["positives"] == 16
         assert "recall_at_p90" in report
 
+    @pytest.mark.parametrize(
+        "p, key",
+        [("0.9", "recall_at_p90"), ("0.95", "recall_at_p95"),
+         ("0.905", "recall_at_p90.5"), ("0.999", "recall_at_p99.9")],
+    )
+    def test_eval_recall_key_names_p(self, tmp_path, capsys, p, key):
+        self._gen(tmp_path, capsys)
+        world = tmp_path / "world"
+        main([
+            "search", "--queries", str(world / "queries.emb"),
+            "--db", str(world / "reference.emb"), "--out", str(tmp_path / "m.tsv"),
+        ])
+        assert main(["eval", "--gt", f"{world}/gt.csv", "--pred", str(tmp_path / "m.tsv"), "--p", p]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [k for k in report if k.startswith("recall_at_p")] == [key]
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        world = tmp_path / "world"
+        assert build_parser() is build_parser()
+        seen = []
+        for argv in (
+            ["search", "--queries", str(world / "queries.emb"), "--db", str(world / "reference.emb"),
+             "--k", "2", "--out", str(tmp_path / "m.tsv")],
+            ["eval", "--gt", f"{world}/gt.csv", "--pred", str(tmp_path / "m.tsv"), "--p", "0.5"],
+            ["search", "--queries", str(world / "queries.emb"), "--db", str(world / "reference.emb")],
+        ):
+            assert main(argv) == 0
+            seen.append(vars(build_parser().parse_args(argv)))
+        search_k2, evaluate, search = seen
+        assert search_k2["k"] == 2 and search["k"] == 10 and search["out"] is None
+        assert evaluate["p"] == 0.5 and not {"k", "queries", "db", "out"} & evaluate.keys()
+        assert not {"p", "gt", "pred"} & search.keys()
+        # The second search's defaults gave 10 hits per query, on stdout.
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 + 32 * 10 and "recall_at_p50" in out[0]
+
     def test_search_tsv_order(self, tmp_path, capsys):
         self._gen(tmp_path, capsys)
         world = tmp_path / "world"

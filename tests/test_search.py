@@ -254,6 +254,31 @@ class TestSelectTopk:
             scores = rng.standard_normal((3, n))
         np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
 
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 8193])
+    @pytest.mark.parametrize("b", [1, 16, 32, 128])
+    def test_rows_around_the_ufunc_buffer_match_full_sort(self, b, n):
+        # numpy's ufunc buffer holds 8192 elements; the candidate compare
+        # bounds it to the row length and must restore the caller's size.
+        rng = np.random.default_rng(b * 10007 + n)
+        scores = rng.uniform(0.0, 1.0, (b, n))
+        scores[1::2] = np.round(scores[1::2] * 4) / 4
+        for row in scores[::2]:
+            # Three leaders, then 12 columns tied at 2.0: a tie straddles the
+            # bound and the 10th place, which only the column order settles.
+            cols = rng.permutation(n)[:15]
+            leaders = cols[:3]
+            row[leaders] = 3.0 + np.arange(leaders.size)
+            row[cols[3:]] = 2.0
+        saved = np.setbufsize(4096)
+        try:
+            for m in sorted({1, min(10, n)}):
+                np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+                assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(saved)
+        select_topk(scores, 1)
+        assert np.getbufsize() == saved
+
     def test_row_blocks_cover_rows_in_order(self):
         for rows, n in [(0, 10), (1, 1), (1000, 8192), (5, 10**9)]:
             blocks = list(row_blocks(rows, n))
