@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -47,16 +48,14 @@ def _load_stages(path: str | None) -> list[StageConfig]:
     return [StageConfig.from_dict(d) for d in data]
 
 
+def _given(args, names) -> dict:
+    # The flags among names that the command line set, by dest: a flag's
+    # dest is the parameter or field it sets, and an unset flag is None.
+    return {name: value for name, value in vars(args).items() if name in names and value is not None}
+
+
 def _cmd_gen_data(args) -> int:
-    world = gen_world(
-        seed=args.seed,
-        n_train=args.n_train,
-        n_ref=args.n_ref,
-        n_query=args.n_query,
-        d_in=args.dim,
-        copy_rate=args.copy_rate,
-        tier=args.tier,
-    )
+    world = gen_world(**_given(args, inspect.signature(gen_world).parameters))
     write_world(world, args.out_dir)
     print(json.dumps({"out_dir": args.out_dir, "positives": len(world.gt)}))
     return 0
@@ -115,22 +114,15 @@ def _cmd_eval(args) -> int:
 
 
 def _manifest_from_args(args) -> RunManifest:
-    # Each run flag's dest is the manifest field it sets; unset flags are None.
     d = RunManifest(seed=args.seed, out_dir=args.out_dir).to_dict()
-    d.update((name, value) for name, value in vars(args).items() if name in d and value is not None)
+    d.update(_given(args, d))
     d["stages"] = _load_stages(args.stages_file)
     return RunManifest(**d)
 
 
-def _cmd_reproduce_trend(args) -> int:
-    report = reproduce_trend(_manifest_from_args(args))
-    sys.stdout.write(render_report_json(report))
-    return 0
-
-
-def _cmd_negative_swap(args) -> int:
-    report = negative_swap(_manifest_from_args(args))
-    sys.stdout.write(render_report_json(report))
+def _cmd_run(args) -> int:
+    # args.run is reproduce_trend or negative_swap.
+    sys.stdout.write(render_report_json(args.run(_manifest_from_args(args))))
     return 0
 
 
@@ -162,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic world")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-train", type=int, default=4096)
-    p.add_argument("--n-ref", type=int, default=4096)
-    p.add_argument("--n-query", type=int, default=512)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--copy-rate", type=float, default=0.25)
-    p.add_argument("--tier", choices=TIER_NAMES, default="strong")
+    p.add_argument("--n-train", type=int, default=None)
+    p.add_argument("--n-ref", type=int, default=None)
+    p.add_argument("--n-query", type=int, default=None)
+    p.add_argument("--dim", dest="d_in", type=int, default=None, help="raw feature dimension")
+    p.add_argument("--copy-rate", type=float, default=None)
+    p.add_argument("--tier", choices=TIER_NAMES, default=None)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="run the staged schedule on a world directory")
@@ -175,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", default=None, help="JSON file; defaults to the built-in schedule")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="encoder checkpoint path")
-    p.add_argument("--dim", type=int, default=32, help="descriptor dimension")
-    p.add_argument("--hidden", type=int, default=0, help="hidden width, 0 for linear")
-    p.add_argument("--bank-capacity", type=int, default=2048)
+    p.add_argument("--dim", type=int, default=RunManifest.encoder_dim, help="descriptor dimension")
+    p.add_argument("--hidden", type=int, default=RunManifest.encoder_hidden, help="hidden width, 0 for linear")
+    p.add_argument("--bank-capacity", type=int, default=RunManifest.bank_capacity)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("embed", help="encode a raw vector file into descriptors")
@@ -188,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("postprocess", help="negative-subtraction post-process")
     p.add_argument("--negatives", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--beta", type=float, default=0.35)
+    p.add_argument("--n", type=int, default=NegSubConfig.n)
+    p.add_argument("--k", type=int, default=NegSubConfig.k)
+    p.add_argument("--beta", type=float, default=NegSubConfig.beta)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_postprocess)
@@ -208,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.9)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("reproduce-trend", help="staged run with per-stage metrics")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_reproduce_trend)
-
-    p = sub.add_parser("negative-swap", help="post-process with training vs twin pool")
-    _add_run_flags(p)
-    p.set_defaults(func=_cmd_negative_swap)
+    for name, run, summary in [
+        ("reproduce-trend", reproduce_trend, "staged run with per-stage metrics"),
+        ("negative-swap", negative_swap, "post-process with training vs twin pool"),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        _add_run_flags(p)
+        p.set_defaults(func=_cmd_run, run=run)
 
     return parser
 

@@ -6,7 +6,8 @@ sets come from the same distribution with zero overlap, so training items
 are guaranteed negatives for every query (the statistical-twin property
 that makes them usable as hard negatives). A configurable fraction of the
 queries are "copies": tier-strength transforms of a reference vector,
-standing in for pixel-level image manipulation.
+standing in for pixel-level image manipulation. A twin pool is one more
+training-like set, drawn apart from the world and never trained on.
 """
 
 from __future__ import annotations
@@ -161,23 +162,29 @@ def gen_world(
     queries[slots[:n_copy]] = copies
     queries[slots[n_copy:]] = distractors
 
-    train_ids = tuple(f"T{i:06d}" for i in range(n_train))
-    ref_ids = tuple(f"R{i:06d}" for i in range(n_ref))
-    query_ids = tuple(f"Q{i:06d}" for i in range(n_query))
+    reference, query_set = raw_set("R", ref), raw_set("Q", queries)
     gt = tuple(
-        sorted((query_ids[int(slots[j])], ref_ids[int(src[j])]) for j in range(n_copy))
+        sorted((query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy))
     )
+    return SyntheticWorld(raw_set("T", train), reference, query_set, gt)
 
-    return SyntheticWorld(
-        training=EmbeddingSet(train_ids, train.astype(np.float32), unit_norm=False),
-        reference=EmbeddingSet(ref_ids, ref.astype(np.float32), unit_norm=False),
-        queries=EmbeddingSet(query_ids, queries.astype(np.float32), unit_norm=False),
-        gt=gt,
-    )
+
+def twin_pool(seed: int, n: int, d_in: int) -> EmbeddingSet:
+    """``n`` raw rows from the training distribution, drawn from the seed's
+    "eval" stream: a pool disjoint from the world's training set."""
+    return raw_set("W", substream(seed, "eval").standard_normal((n, d_in)))
+
+
+def raw_set(prefix: str, rows: np.ndarray) -> EmbeddingSet:
+    """Raw float32 rows named ``prefix`` plus a 6-digit row index."""
+    ids = tuple(f"{prefix}{i:06d}" for i in range(len(rows)))
+    return EmbeddingSet(ids, rows.astype(np.float32), unit_norm=False)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Named, independent RNG stream derived from one master seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     digest = sum(ord(c) * 31**i for i, c in enumerate(name)) % (2**32)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(digest,)))
 

@@ -14,9 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .datagen import SyntheticWorld, gen_world, substream, write_world
+from .datagen import SyntheticWorld, gen_world, substream, twin_pool, write_world
 from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
 from .metrics import GroundTruth, build_candidates, micro_ap, recall_at_precision
 from .postprocess import NegSubConfig, subtract_negatives_batch
@@ -50,13 +48,13 @@ class RunManifest:
     encoder_dim: int = 32
     encoder_hidden: int = 0
     bank_capacity: int = 2048
-    pos_margin: float = 0.0
-    neg_margin: float = 1.0
+    pos_margin: float = LossConfig.pos_margin
+    neg_margin: float = LossConfig.neg_margin
     momentum: float = 0.9
     stages: list[StageConfig] = field(default_factory=default_stage_schedule)
-    negsub_n: int = 1
-    negsub_k: int = 10
-    negsub_beta: float = 0.35
+    negsub_n: int = NegSubConfig.n
+    negsub_k: int = NegSubConfig.k
+    negsub_beta: float = NegSubConfig.beta
     postprocess_targets: str = "both"
     per_query_k: int = 10
     tool_version: str = TOOL_VERSION
@@ -259,14 +257,7 @@ def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
 
     train_ap, train_r90, _, _ = _postprocess_eval(run, run.train_emb, manifest)
 
-    twin_rng = substream(manifest.seed, "eval")
-    twin_raw = twin_rng.standard_normal((manifest.n_train, manifest.d_in))
-    twin_set = EmbeddingSet(
-        tuple(f"W{i:06d}" for i in range(manifest.n_train)),
-        twin_raw.astype(np.float32),
-        unit_norm=False,
-    )
-    twin_emb = run.encoder.encode_set(twin_set)
+    twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.n_train, manifest.d_in))
     twin_ap, twin_r90, _, _ = _postprocess_eval(run, twin_emb, manifest)
 
     report = {

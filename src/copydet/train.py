@@ -276,7 +276,10 @@ class Encoder:
 
     @classmethod
     def init(cls, d_in: int, d_out: int, hidden: int = 0, rng: np.random.Generator | None = None) -> "Encoder":
-        """Random init, scaled by 1/sqrt(fan_in); biases zero."""
+        """Random init, scaled by 1/sqrt(fan_in); biases zero. Hidden width 0
+        is a linear encoder."""
+        if hidden < 0:
+            raise ValueError(f"hidden width must be >= 0, got {hidden}")
         if rng is None:
             rng = np.random.default_rng(0)
         widths = [d_in, hidden, d_out] if hidden > 0 else [d_in, d_out]
@@ -431,8 +434,10 @@ class StageConfig:
 
     def __post_init__(self) -> None:
         get_tier(self.tier)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("ref_per_batch", 0), ("gt_per_batch", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"stage field {name!r} must be >= {low}, got {value}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

@@ -1,5 +1,6 @@
 """Golden pins: the SHA-256 of every artifact of one small reproduce-trend run,
-and of the outputs of the README's step-by-step CLI match flow.
+of the negative-swap report on the same manifest, and of the outputs of the
+README's step-by-step CLI match flow.
 
 The manifest is the one acceptance criterion 9 uses. A refactor either
 keeps these hashes or re-pins them for a stated cause, such as a new RNG
@@ -80,6 +81,19 @@ def test_small_manifest_artifacts_match_golden_hashes(tmp_path):
     pinned = sorted(["report.json"] + [p.relative_to(out).as_posix() for p in out.rglob("*.emb")])
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
     assert got == GOLDEN
+
+
+# negative-swap's report covers its twin pool: a fresh draw the post-process
+# uses in place of the training pool.
+GOLDEN_SWAP_REPORT = "534bfbe9458f42ed856b6a593ecaf00efd271009e8fd71ad5ca66334aa531e90"
+
+_SWAP_CHILD = _CHILD.replace("reproduce_trend", "negative_swap")
+
+
+def test_small_manifest_negative_swap_report_matches_golden_hash(tmp_path):
+    _run_pinned(_SWAP_CHILD, _manifest("run").to_json(), tmp_path)
+    got = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+    assert got == GOLDEN_SWAP_REPORT
 
 
 # The CLI match flow: embed x3, post-process references and queries against

@@ -433,6 +433,31 @@ class TestCli:
         assert capsys.readouterr().err == f"copydet: {message}\n"
         assert not (tmp_path / "enc.bin").exists()
 
+    @pytest.mark.parametrize("field", ["ref_per_batch", "gt_per_batch"])
+    def test_negative_per_batch_count_exit_1(self, tmp_path, capsys, field):
+        stage = dict(index=1, tier="strong", include_reference_negatives=True,
+                     include_gt_positives=True, epochs=1, lr=0.3, batch_size=16, **{field: -1})
+        rc = self._trend_with_stages(tmp_path, [stage])
+        assert rc == 1
+        assert capsys.readouterr().err == f"copydet: stage field {field!r} must be >= 0, got -1\n"
+
+    def test_negative_hidden_width_exit_1(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        rc = main([
+            "train", "--world", str(tmp_path / "world"), "--seed", "7",
+            "--out", str(tmp_path / "enc.bin"), "--hidden", "-3",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: hidden width must be >= 0, got -3\n"
+        assert not (tmp_path / "enc.bin").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "negative-swap"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command):
+        rc = main([command, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_step_exit_1(self, tmp_path, capsys):
         stage = dict(index=1, tier="weak", epochs=1, lr=1e308, batch_size=16)
         rc = self._trend_with_stages(tmp_path, [stage])
