@@ -28,7 +28,7 @@ from .pipeline import (
     train_encoder,
 )
 from .postprocess import NegSubConfig, subtract_negatives_batch
-from .train import Encoder, LossConfig, StageConfig, default_stage_schedule
+from .train import Encoder
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,16 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _load_stages(path: str | None) -> list[StageConfig]:
-    if path is None:
-        return default_stage_schedule()
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: stage file must hold a JSON list")
-    return [StageConfig.from_dict(d) for d in data]
 
 
 def _given(args, names) -> dict:
@@ -62,11 +52,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    # CLI train has no margin or momentum flags: it takes the run defaults.
-    encoder, losses = train_encoder(
-        load_world(args.world), _load_stages(args.stages), args.seed, args.dim, args.hidden,
-        args.bank_capacity, LossConfig(), RunManifest.momentum,
-    )
+    manifest = _manifest_from_args(args)
+    encoder, losses = train_encoder(load_world(args.world), manifest)
     encoder.save(args.out)
     print(json.dumps({"out": args.out, "stages": losses}))
     return 0
@@ -114,9 +101,15 @@ def _cmd_eval(args) -> int:
 
 
 def _manifest_from_args(args) -> RunManifest:
-    d = RunManifest(seed=args.seed, out_dir=args.out_dir).to_dict()
+    # The default manifest with the fields of the flags given; train has
+    # no --out-dir. RunManifest checks every setting, stages included.
+    d = RunManifest(seed=args.seed, out_dir="").to_dict()
     d.update(_given(args, d))
-    d["stages"] = _load_stages(args.stages_file)
+    if args.stages_file is not None:
+        with open(args.stages_file, encoding="utf-8") as fh:
+            d["stages"] = json.load(fh)
+        if not isinstance(d["stages"], list):
+            raise ValueError(f"{args.stages_file}: stage file must hold a JSON list")
     return RunManifest(**d)
 
 
@@ -126,15 +119,20 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_world_flags(p: argparse.ArgumentParser, tier_flag: str) -> None:
+    # Unset flags are None: gen-data leaves them to gen_world, a run to RunManifest.
     p.add_argument("--seed", type=int, required=True, help="master seed for all sub-streams")
-    p.add_argument("--out-dir", required=True, help="directory for run artifacts")
+    p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--n-train", type=int, default=None)
     p.add_argument("--n-ref", type=int, default=None)
     p.add_argument("--n-query", type=int, default=None)
     p.add_argument("--dim", dest="d_in", type=int, default=None, help="raw feature dimension")
     p.add_argument("--copy-rate", type=float, default=None)
-    p.add_argument("--world-tier", choices=TIER_NAMES, default=None)
+    p.add_argument(tier_flag, choices=TIER_NAMES, default=None)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_world_flags(p, "--world-tier")
     p.add_argument("--encoder-dim", type=int, default=None)
     p.add_argument("--bank-capacity", type=int, default=None)
     p.add_argument("--per-query-k", type=int, default=None)
@@ -152,24 +150,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic world")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-train", type=int, default=None)
-    p.add_argument("--n-ref", type=int, default=None)
-    p.add_argument("--n-query", type=int, default=None)
-    p.add_argument("--dim", dest="d_in", type=int, default=None, help="raw feature dimension")
-    p.add_argument("--copy-rate", type=float, default=None)
-    p.add_argument("--tier", choices=TIER_NAMES, default=None)
+    _add_world_flags(p, "--tier")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="run the staged schedule on a world directory")
     p.add_argument("--world", required=True)
-    p.add_argument("--stages", default=None, help="JSON file; defaults to the built-in schedule")
+    p.add_argument("--stages", dest="stages_file", default=None, help="JSON file; defaults to the built-in schedule")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="encoder checkpoint path")
-    p.add_argument("--dim", type=int, default=RunManifest.encoder_dim, help="descriptor dimension")
-    p.add_argument("--hidden", type=int, default=RunManifest.encoder_hidden, help="hidden width, 0 for linear")
-    p.add_argument("--bank-capacity", type=int, default=RunManifest.bank_capacity)
+    # Unset flags take RunManifest's defaults, as a run's do.
+    p.add_argument("--dim", dest="encoder_dim", type=int, default=None, help="descriptor dimension")
+    p.add_argument("--hidden", dest="encoder_hidden", type=int, default=None, help="hidden width, 0 for linear")
+    p.add_argument("--bank-capacity", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("embed", help="encode a raw vector file into descriptors")

@@ -139,8 +139,9 @@ def gen_world(
     tier; the remaining queries are fresh draws (distractors) from the same
     distribution as the references.
     """
-    if min(n_train, n_ref, n_query) < 1:
-        raise ValueError("counts must be positive")
+    for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     if not 0.0 <= copy_rate <= 1.0:
         raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
     tier_cfg = get_tier(tier)

@@ -60,10 +60,16 @@ class RunManifest:
     tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
+        # Settings are checked here, so a bad one fails before any world is drawn.
         if self.postprocess_targets not in POSTPROCESS_TARGETS:
             raise ValueError(
                 f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
             )
+        for name in ("n_train", "n_ref", "n_query", "encoder_dim", "per_query_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self.loss_config()
+        self.negsub_config()
         self.stages = [
             s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
             for s in self.stages
@@ -111,20 +117,21 @@ class TrainedRun:
 
 
 def train_encoder(
-    world: SyntheticWorld, stages: list[StageConfig], seed: int, dim: int, hidden: int,
-    bank_capacity: int, loss_cfg: LossConfig, momentum: float,
+    world: SyntheticWorld, manifest: RunManifest,
     after_stage: Callable[[Encoder, StageConfig, dict], None] | None = None,
 ) -> tuple[Encoder, list[dict]]:
-    """The one stage loop: train a fresh encoder, seeded from the "train" stream.
+    """The one stage loop: train a fresh encoder on ``world`` as ``manifest``
+    says, seeded from its "train" stream.
 
     Returns it and each stage's :func:`run_stage` metrics; ``after_stage``,
     when given, sees it after every stage."""
-    rng = substream(seed, "train")
-    encoder = Encoder.init(world.dim, dim, hidden, rng=rng)
-    bank = MemoryBank(bank_capacity, dim)
+    rng = substream(manifest.seed, "train")
+    encoder = Encoder.init(world.dim, manifest.encoder_dim, manifest.encoder_hidden, rng=rng)
+    bank = MemoryBank(manifest.bank_capacity, manifest.encoder_dim)
+    loss_cfg = manifest.loss_config()
     metrics: list[dict] = []
-    for stage in stages:
-        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, momentum)[1])
+    for stage in manifest.stages:
+        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, manifest.momentum)[1])
         if after_stage is not None:
             after_stage(encoder, stage, metrics[-1])
     return encoder, metrics
@@ -160,10 +167,7 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
             }
         )
 
-    encoder, _ = train_encoder(
-        world, manifest.stages, manifest.seed, manifest.encoder_dim, manifest.encoder_hidden,
-        manifest.bank_capacity, manifest.loss_config(), manifest.momentum, evaluate_stage,
-    )
+    encoder, _ = train_encoder(world, manifest, evaluate_stage)
     query_emb = encoder.encode_set(world.queries)
     ref_emb = encoder.encode_set(world.reference)
     train_emb = encoder.encode_set(world.training)
@@ -214,29 +218,18 @@ def trend_report(run: TrainedRun, manifest: RunManifest) -> dict:
             "recall_at_p90": post_r90,
         }
     ]
-    report = {
-        "command": "reproduce-trend",
-        "manifest_hash": manifest.hash(),
-        "tool_version": manifest.tool_version,
-        "seed": manifest.seed,
-        "positives": run.gt.positives,
-        "rows": rows,
-    }
-
     out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    emb_dir = out / "embeddings"
+    emb_dir.mkdir(parents=True, exist_ok=True)
     write_world(run.world, out / "world")
     run.encoder.save(out / "encoder.bin")
-    emb_dir = out / "embeddings"
-    emb_dir.mkdir(exist_ok=True)
     write_embeddings(run.train_emb, emb_dir / "training.emb")
     write_embeddings(run.ref_emb, emb_dir / "reference.emb")
     write_embeddings(run.query_emb, emb_dir / "queries.emb")
+    # The descriptors the post row ranked, whether or not its targets include them.
     write_embeddings(post_q, emb_dir / "queries_post.emb")
-    if manifest.postprocess_targets in ("references", "both"):
-        write_embeddings(post_r, emb_dir / "reference_post.emb")
-    write_bytes_atomic(out / "manifest.json", manifest.to_json().encode("utf-8"))
-    write_bytes_atomic(out / "report.json", render_report_json(report).encode("utf-8"))
+    write_embeddings(post_r, emb_dir / "reference_post.emb")
+    report = _write_report("reproduce-trend", run, manifest, rows=rows)
     write_bytes_atomic(out / "report.txt", format_trend_table(report).encode("utf-8"))
     return report
 
@@ -260,17 +253,26 @@ def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
     twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.n_train, manifest.d_in))
     twin_ap, twin_r90, _, _ = _postprocess_eval(run, twin_emb, manifest)
 
+    return _write_report(
+        "negative-swap", run, manifest,
+        baseline={"micro_ap": base_ap, "recall_at_p90": base_r90},
+        training_pool={"micro_ap": train_ap, "recall_at_p90": train_r90},
+        twin_pool={"micro_ap": twin_ap, "recall_at_p90": twin_r90},
+        pool_delta_micro_ap=train_ap - twin_ap,
+        postprocess_gain_micro_ap=train_ap - base_ap,
+    )
+
+
+def _write_report(command: str, run: TrainedRun, manifest: RunManifest, **body) -> dict:
+    """The report of ``command``: the header every report shares plus
+    ``body``; writes it and the manifest under ``manifest.out_dir``."""
     report = {
-        "command": "negative-swap",
+        "command": command,
         "manifest_hash": manifest.hash(),
         "tool_version": manifest.tool_version,
         "seed": manifest.seed,
         "positives": run.gt.positives,
-        "baseline": {"micro_ap": base_ap, "recall_at_p90": base_r90},
-        "training_pool": {"micro_ap": train_ap, "recall_at_p90": train_r90},
-        "twin_pool": {"micro_ap": twin_ap, "recall_at_p90": twin_r90},
-        "pool_delta_micro_ap": train_ap - twin_ap,
-        "postprocess_gain_micro_ap": train_ap - base_ap,
+        **body,
     }
     out = Path(manifest.out_dir)
     out.mkdir(parents=True, exist_ok=True)

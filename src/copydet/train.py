@@ -280,6 +280,8 @@ class Encoder:
         is a linear encoder."""
         if hidden < 0:
             raise ValueError(f"hidden width must be >= 0, got {hidden}")
+        if d_out < 1:
+            raise ValueError(f"output width must be >= 1, got {d_out}")
         if rng is None:
             rng = np.random.default_rng(0)
         widths = [d_in, hidden, d_out] if hidden > 0 else [d_in, d_out]

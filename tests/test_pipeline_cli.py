@@ -10,15 +10,19 @@ from copydet import (
     NegSubConfig,
     RunManifest,
     StageConfig,
+    build_candidates,
+    load_world,
+    micro_ap,
     negative_swap,
     read_embeddings,
+    read_gt_csv,
     read_matches_tsv,
     reproduce_trend,
     subtract_negatives_batch,
     write_embeddings,
 )
 from copydet.cli import _add_run_flags, _manifest_from_args, build_parser, main
-from copydet.pipeline import _postprocess_eval, train_and_embed
+from copydet.pipeline import POSTPROCESS_TARGETS, _postprocess_eval, train_and_embed, train_encoder
 
 
 def tiny_manifest(out_dir, seed=3, **kw):
@@ -136,6 +140,22 @@ class TestReproduceTrend:
         assert report["rows"][0]["micro_ap"] == 1.0
         assert report["rows"][-1]["micro_ap"] == 1.0
 
+    @pytest.mark.parametrize("targets", POSTPROCESS_TARGETS)
+    def test_post_files_hold_what_the_post_row_ranked(self, tmp_path, targets):
+        manifest = tiny_manifest(tmp_path / "run", postprocess_targets=targets)
+        report = reproduce_trend(manifest)
+        emb = tmp_path / "run" / "embeddings"
+        ranked = build_candidates(
+            read_embeddings(emb / "queries_post.emb"), read_embeddings(emb / "reference_post.emb"),
+            manifest.per_query_k,
+        )
+        gt = read_gt_csv(tmp_path / "run" / "world" / "gt.csv")
+        assert micro_ap(ranked, gt) == report["rows"][-1]["micro_ap"]
+        # An untargeted side is ranked, and written, unprocessed.
+        for side, target in [("queries", "queries"), ("reference", "references")]:
+            same = (emb / f"{side}_post.emb").read_bytes() == (emb / f"{side}.emb").read_bytes()
+            assert same == (targets not in (target, "both"))
+
     def test_text_table_mentions_every_row(self, tmp_path):
         manifest = tiny_manifest(tmp_path / "run")
         reproduce_trend(manifest)
@@ -161,6 +181,21 @@ class TestNegativeSwap:
         assert report["pool_delta_micro_ap"] == (
             report["training_pool"]["micro_ap"] - report["twin_pool"]["micro_ap"]
         )
+
+
+# Settings that each command checks before it draws or loads a world,
+# with the message each exits 1 with.
+_INVALID_SETTINGS = [
+    (["reproduce-trend", "--beta", "-1"], "beta must be >= 0, got -1.0"),
+    (["negative-swap", "--k", "0"], "k must be >= 1, got 0"),
+    (["reproduce-trend", "--n", "-1"], "n must be >= 0, got -1"),
+    (["reproduce-trend", "--per-query-k", "0"], "per_query_k must be >= 1, got 0"),
+    (["negative-swap", "--encoder-dim", "0"], "encoder_dim must be >= 1, got 0"),
+    (["reproduce-trend", "--n-train", "0"], "n_train must be >= 1, got 0"),
+    (["gen-data", "--n-train", "0"], "n_train must be >= 1, got 0"),
+    (["gen-data", "--n-query", "-2"], "n_query must be >= 1, got -2"),
+    (["train", "--dim", "0"], "encoder_dim must be >= 1, got 0"),
+]
 
 
 class TestCli:
@@ -450,6 +485,33 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "copydet: hidden width must be >= 0, got -3\n"
         assert not (tmp_path / "enc.bin").exists()
+
+    def test_train_defaults_are_the_manifest_defaults(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        world = tmp_path / "world"
+        argv = ["train", "--world", str(world), "--seed", "7", "--out", str(tmp_path / "cli.bin")]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        encoder, losses = train_encoder(load_world(world), RunManifest(seed=7, out_dir=""))
+        encoder.save(tmp_path / "pipeline.bin")
+        assert (tmp_path / "cli.bin").read_bytes() == (tmp_path / "pipeline.bin").read_bytes()
+        assert printed["stages"] == losses
+
+    @pytest.mark.parametrize("argv, message", _INVALID_SETTINGS, ids=[" ".join(a) for a, _ in _INVALID_SETTINGS])
+    def test_invalid_setting_exit_1_before_world(self, tmp_path, capsys, monkeypatch, argv, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a world was drawn or loaded")
+
+        monkeypatch.setattr("copydet.pipeline.gen_world", unreachable)
+        monkeypatch.setattr("copydet.cli.load_world", unreachable)
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = argv + ["--world", str(tmp_path / "world"), "--out", str(out)]
+        else:
+            argv = argv + ["--out-dir", str(out)]
+        assert main(argv + ["--seed", "1"]) == 1
+        assert capsys.readouterr().err == f"copydet: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-data", "negative-swap"])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command):

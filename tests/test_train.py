@@ -526,6 +526,11 @@ class TestSgdMomentum:
 
 
 class TestEncoder:
+    @pytest.mark.parametrize("hidden", [0, 4])
+    def test_zero_output_width_rejected(self, hidden):
+        with pytest.raises(ValueError, match=r"^output width must be >= 1, got 0$"):
+            Encoder.init(8, 0, hidden=hidden)
+
     def test_forward_unit_norm(self):
         rng = np.random.default_rng(4)
         for hidden in (0, 8):
