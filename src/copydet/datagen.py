@@ -64,29 +64,37 @@ def augment_batch(x: np.ndarray, tier: AugmentTier, rng: np.random.Generator) ->
     a fresh distractor vector (overlay analog), and coordinate dropout
     (erasing analog). All draws for the block are made up front, so one
     call consumes the stream in a fixed order. Returns raw, unnormalized
-    rows. The "none" tier returns an unchanged copy and consumes no
-    randomness.
+    rows. An op whose magnitude is zero (noise_sigma, rotation_angle,
+    mix_high, dropout_prob) cannot change a row, so it is skipped and draws
+    nothing; when no op can act, as at the "none" tier, the call returns an
+    unchanged copy and consumes no randomness.
     """
     y = np.array(x, dtype=np.float64, order="C")
     if y.ndim != 2:
         raise ValueError(f"augment_batch needs a (B, d) block, got shape {y.shape}")
-    if tier.name == "none":
+    magnitudes = (tier.noise_sigma, tier.rotation_angle, tier.mix_high, tier.dropout_prob)
+    ops = [op for op, magnitude in enumerate(magnitudes) if magnitude != 0.0]
+    if not ops:
         return y
     b, d = y.shape
     order = np.argsort(rng.random((b, 4)), axis=1)
-    noise = rng.normal(0.0, tier.noise_sigma, (b, d))
-    npairs = d // 4
-    # Each row's disjoint coordinate pairs, as flat indices into y.
-    pairs = np.argsort(rng.random((b, d)), axis=1)[:, : 2 * npairs] + d * np.arange(b)[:, None]
-    first, second = pairs[:, :npairs], pairs[:, npairs:]
-    theta = rng.uniform(-tier.rotation_angle, tier.rotation_angle, (b, npairs))
-    cos, sin = np.cos(theta), np.sin(theta)
-    alpha = rng.uniform(tier.mix_low, tier.mix_high, (b, 1))
-    distractor = rng.standard_normal((b, d))
-    keep = rng.random((b, d)) >= tier.dropout_prob
+    if 0 in ops:
+        noise = rng.normal(0.0, tier.noise_sigma, (b, d))
+    if 1 in ops:
+        npairs = d // 4
+        # Each row's disjoint coordinate pairs, as flat indices into y.
+        pairs = np.argsort(rng.random((b, d)), axis=1)[:, : 2 * npairs] + d * np.arange(b)[:, None]
+        first, second = pairs[:, :npairs], pairs[:, npairs:]
+        theta = rng.uniform(-tier.rotation_angle, tier.rotation_angle, (b, npairs))
+        cos, sin = np.cos(theta), np.sin(theta)
+    if 2 in ops:
+        alpha = rng.uniform(tier.mix_low, tier.mix_high, (b, 1))
+        distractor = rng.standard_normal((b, d))
+    if 3 in ops:
+        keep = rng.random((b, d)) >= tier.dropout_prob
     flat = y.reshape(-1)
     for step in order.T:
-        for op in range(4):
+        for op in ops:
             rows = np.flatnonzero(step == op)
             if rows.size == 0:
                 continue
@@ -139,11 +147,7 @@ def gen_world(
     tier; the remaining queries are fresh draws (distractors) from the same
     distribution as the references.
     """
-    for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
-    if not 0.0 <= copy_rate <= 1.0:
-        raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
+    check_world_settings(n_train, n_ref, n_query, d_in, copy_rate)
     tier_cfg = get_tier(tier)
     rng = substream(seed, "world")
 
@@ -168,6 +172,16 @@ def gen_world(
         sorted((query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy))
     )
     return SyntheticWorld(raw_set("T", train), reference, query_set, gt)
+
+
+def check_world_settings(n_train: int, n_ref: int, n_query: int, d_in: int, copy_rate: float) -> None:
+    """Raise ValueError naming the first of :func:`gen_world`'s sizes or
+    its copy rate that is out of range."""
+    for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query), ("d_in", d_in)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+    if not 0.0 <= copy_rate <= 1.0:
+        raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
 
 
 def twin_pool(seed: int, n: int, d_in: int) -> EmbeddingSet:

@@ -11,12 +11,15 @@ metrics unchanged.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .embedding import EmbeddingSet, write_bytes_atomic
 from .errors import EmptyGroundTruth, FormatError
@@ -76,38 +79,92 @@ def read_gt_csv(path: str | Path) -> GroundTruth:
     return GroundTruth(frozenset(read_gt_pairs(path)))
 
 
-@dataclass(frozen=True)
 class RankedMatches:
     """Globally sorted candidate list, one entry per (query, reference) pair.
 
     Sorted by score descending; ties broken by (query_id, reference_id)
-    lexicographic order so that evaluation is deterministic.
+    lexicographic order so that evaluation is deterministic. Held as
+    arrays: ``query_ids`` and ``reference_ids`` are the sorted distinct
+    ids, and entry i pairs ``query_ids[query[i]]`` with
+    ``reference_ids[reference[i]]`` at ``scores[i]``. As the id tables are
+    sorted, the tie-break is an order on the indices.
+
+    The constructor takes the entries in any order, with id tables of
+    distinct ids in any order; a pair may occur once.
     """
 
-    entries: tuple[Candidate, ...] = field(default=())
+    def __init__(
+        self,
+        query_ids: Sequence[str] = (),
+        query: Sequence[int] = (),
+        reference_ids: Sequence[str] = (),
+        reference: Sequence[int] = (),
+        scores: Sequence[float] = (),
+    ):
+        self.query_ids, q_rank = _sorted_ids(query_ids)
+        self.reference_ids, r_rank = _sorted_ids(reference_ids)
+        q = q_rank[np.asarray(query, dtype=np.int64)]
+        r = r_rank[np.asarray(reference, dtype=np.int64)]
+        s = np.asarray(scores, dtype=np.float64)
+        keys = np.sort(q * len(self.reference_ids) + r)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if repeated.size:
+            qi, ri = divmod(int(repeated[0]), len(self.reference_ids))
+            raise ValueError(
+                f"duplicate candidate pair ({self.query_ids[qi]!r}, {self.reference_ids[ri]!r})"
+            )
+        order = np.lexsort((r, q, -s))
+        self.query, self.reference, self.scores = q[order], r[order], s[order]
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[Candidate]) -> "RankedMatches":
-        cands = list(candidates)
-        seen = set()
-        for q, r, _ in cands:
-            if (q, r) in seen:
-                raise ValueError(f"duplicate candidate pair ({q!r}, {r!r})")
-            seen.add((q, r))
-        cands.sort(key=lambda c: (-c[2], c[0], c[1]))
-        return cls(tuple(cands))
+        queries: dict[str, int] = {}
+        references: dict[str, int] = {}
+        columns = [
+            (queries.setdefault(q, len(queries)), references.setdefault(r, len(references)), s)
+            for q, r, s in candidates
+        ]
+        q, r, s = zip(*columns) if columns else ((), (), ())
+        return cls(tuple(queries), q, tuple(references), r, s)
+
+    @property
+    def entries(self) -> tuple[Candidate, ...]:
+        """The ranking as (query_id, reference_id, score) tuples."""
+        return tuple(zip(
+            [self.query_ids[i] for i in self.query.tolist()],
+            [self.reference_ids[i] for i in self.reference.tolist()],
+            self.scores.tolist(),
+        ))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.scores.size
 
 
-def _true_ranks(ranked: RankedMatches, gt: GroundTruth) -> Iterator[tuple[int, int]]:
-    """(true pairs so far, rank) at each rank that holds a true pair."""
-    tp = 0
-    for rank, (q, r, _) in enumerate(ranked.entries, start=1):
-        if (q, r) in gt.pairs:
-            tp += 1
-            yield tp, rank
+def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``ids`` sorted, and the sorted position of each id by its index in ``ids``."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[order] = np.arange(len(ids))
+    return tuple(ids[i] for i in order), rank
+
+
+def _true_ranks(ranked: RankedMatches, gt: GroundTruth) -> np.ndarray:
+    """The ranks (1-based, ascending) that hold a true pair."""
+    n_ref = len(ranked.reference_ids)
+    keys = []
+    for q, r in gt.pairs:
+        qi = bisect.bisect_left(ranked.query_ids, q)
+        ri = bisect.bisect_left(ranked.reference_ids, r)
+        if ranked.query_ids[qi : qi + 1] == (q,) and ranked.reference_ids[ri : ri + 1] == (r,):
+            keys.append(qi * n_ref + ri)
+    if not keys:
+        return np.zeros(0, dtype=np.int64)
+    # A binary search, not np.isin: its first sort-based call imports
+    # numpy modules for about 20 ms.
+    truth = np.sort(np.array(keys))
+    entry = ranked.query * n_ref + ranked.reference
+    found = truth[np.searchsorted(truth, entry).clip(max=truth.size - 1)] == entry
+    return np.flatnonzero(found) + 1
 
 
 def micro_ap(ranked: RankedMatches, gt: GroundTruth) -> float:
@@ -118,10 +175,11 @@ def micro_ap(ranked: RankedMatches, gt: GroundTruth) -> float:
     """
     if gt.positives < 1:
         raise EmptyGroundTruth("micro_ap needs at least one positive pair")
-    # Not sum(): from Python 3.12 it compensates, which changes the last bits.
-    total = 0.0
-    for tp, rank in _true_ranks(ranked, gt):
-        total += tp / rank
+    ranks = _true_ranks(ranked, gt)
+    # A running sum in rank order, which cumsum is: np.sum adds pairwise,
+    # and sum() compensates from Python 3.12, which changes the last bits.
+    precision = np.arange(1, ranks.size + 1) / ranks
+    total = float(np.cumsum(precision)[-1]) if ranks.size else 0.0
     return total / gt.positives
 
 
@@ -136,8 +194,10 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
         raise EmptyGroundTruth("recall_at_precision needs at least one positive pair")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
-    recalls = (tp / gt.positives for tp, rank in _true_ranks(ranked, gt) if tp / rank >= p)
-    return max(recalls, default=0.0)
+    ranks = _true_ranks(ranked, gt)
+    tp = np.arange(1, ranks.size + 1)
+    qualifying = tp[tp / ranks >= p]
+    return int(qualifying[-1]) / gt.positives if qualifying.size else 0.0
 
 
 def match_candidates(
@@ -156,7 +216,9 @@ def build_candidates(
     queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int = 1
 ) -> RankedMatches:
     """Top ``per_query_k`` references per query, merged into one global ranking."""
-    return RankedMatches.from_candidates(match_candidates(queries, references, per_query_k))
+    idx, scores = topk_batch(queries, references, per_query_k)
+    rows = np.repeat(np.arange(queries.count), idx.shape[1])
+    return RankedMatches(queries.ids, rows, references.ids, idx.ravel(), scores.ravel())
 
 
 def write_matches_tsv(

@@ -14,7 +14,15 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .datagen import SyntheticWorld, gen_world, substream, twin_pool, write_world
+from .datagen import (
+    TIER_NAMES,
+    SyntheticWorld,
+    check_world_settings,
+    gen_world,
+    substream,
+    twin_pool,
+    write_world,
+)
 from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
 from .metrics import GroundTruth, build_candidates, micro_ap, recall_at_precision
 from .postprocess import NegSubConfig, subtract_negatives_batch
@@ -65,7 +73,10 @@ class RunManifest:
             raise ValueError(
                 f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
             )
-        for name in ("n_train", "n_ref", "n_query", "encoder_dim", "per_query_k"):
+        check_world_settings(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate)
+        if self.world_tier not in TIER_NAMES:
+            raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
+        for name in ("encoder_dim", "per_query_k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.loss_config()

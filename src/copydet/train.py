@@ -60,18 +60,33 @@ class MemoryBank:
     never touched by gradients. Once full, each push evicts the oldest
     entries first. Capacity 0 is "no bank": it holds nothing, and a push
     is a no-op.
+
+    The ring of embeddings, squared norms and labels sits in the tail of
+    larger arrays whose head holds the batch of the current loss call, so
+    :func:`contrastive_loss` reads [batch; bank] as one view without
+    copying the bank. A C-contiguous transpose of the embedding array is
+    kept beside it for the distance gemm.
     """
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._emb = np.zeros((capacity, dim), dtype=np.float64)
-        self._sq_norms = np.zeros(capacity, dtype=np.float64)
-        self._labels = np.zeros(capacity, dtype=np.int64)
         self._size = 0
         self._cursor = 0
         self._scratch: dict[str, np.ndarray] = {}
+        self._rows = np.zeros((capacity, dim), dtype=np.float64)
+        self._rows_t = np.zeros((dim, capacity), dtype=np.float64)
+        self._sq = np.zeros(capacity, dtype=np.float64)
+        self._labs = np.zeros(capacity, dtype=np.int64)
+        self._set_head(0)
+
+    def _set_head(self, head: int) -> None:
+        # The ring's names are views of the storage tail.
+        self._head = head
+        self._emb = self._rows[head:]
+        self._sq_norms = self._sq[head:]
+        self._labels = self._labs[head:]
 
     def __len__(self) -> int:
         return self._size
@@ -95,6 +110,7 @@ class MemoryBank:
         ring = max(self.capacity, 1)
         slots = (self._cursor + np.arange(first, n)) % ring
         self._emb[slots] = emb[first:]
+        self._rows_t[:, self._head + slots] = emb[first:].T
         self._sq_norms[slots] = _sq_norms(emb[first:])
         self._labels[slots] = labs[first:]
         self._cursor = (self._cursor + n) % ring
@@ -105,6 +121,32 @@ class MemoryBank:
         embeddings, their squared norms and labels. No copy is made."""
         n = self._size
         return self._emb[:n], self._sq_norms[:n], self._labels[:n]
+
+    def with_batch(
+        self, embeddings: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """[batch; live entries] as views: rows, their (dim, b + m)
+        transpose, squared norms and labels.
+
+        The batch is written into the head, just before the ring; the ring
+        is not touched. A batch larger than the head grows it, copying the
+        ring once.
+        """
+        b = embeddings.shape[0]
+        if b > self._head:
+            grown = b + self.capacity
+            rows, rows_t = np.empty((grown, self.dim)), np.empty((self.dim, grown))
+            sq, labs = np.empty(grown), np.empty(grown, dtype=np.int64)
+            rows[b:], rows_t[:, b:] = self._emb, self._rows_t[:, self._head :]
+            sq[b:], labs[b:] = self._sq_norms, self._labels
+            self._rows, self._rows_t, self._sq, self._labs = rows, rows_t, sq, labs
+            self._set_head(b)
+        lo, hi = self._head - b, self._head + self._size
+        self._rows[lo : self._head] = embeddings
+        self._rows_t[:, lo : self._head] = embeddings.T
+        self._sq[lo : self._head] = _sq_norms(embeddings)
+        self._labs[lo : self._head] = labels
+        return self._rows[lo:hi], self._rows_t[:, lo:hi], self._sq[lo:hi], self._labs[lo:hi]
 
     def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """An uninitialised buffer of ``shape``, reused across calls per name.
@@ -153,16 +195,14 @@ def contrastive_loss(
         raise EmptyBatch("contrastive_loss needs a nonempty batch")
     if bank is None:
         bank = MemoryBank(0, E.shape[1])
-    bank_e, bank_sq, bank_labs = bank.live()
-    m = bank_e.shape[0]
+    dim = E.shape[1]
+    m = len(bank)
     n = b + m
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
     buffer = bank._buffer
-    X = buffer("rows", (n, E.shape[1]))
-    X[:b], X[b:] = E, bank_e
-    sq = np.concatenate((_sq_norms(E), bank_sq))
+    X, XT, sq, X_labs = bank.with_batch(E, labs)
     # The candidate bound below holds for finite rows only.
     if not np.isfinite(sq).all():
         raise NonFiniteValue("non-finite embedding in the loss")
@@ -170,11 +210,16 @@ def contrastive_loss(
     # Same-label pairs, compared only in the columns whose label occurs in
     # the batch: the b x b block and a few bank entries. The diagonal is no
     # pair. Flat indices address the b x n pair matrix. The lookup table
-    # spans the batch's label range, at most n_train + n_ref bools; numpy's
-    # default would sort all n labels once that range exceeds about 6n.
-    X_labs = np.concatenate((labs, bank_labs))
-    shared = np.flatnonzero(np.isin(X_labs, labs, kind="table"))
-    r, c = np.nonzero(labs[:, None] == X_labs[shared])
+    # spans the batch's label range plus one slot, which stays False and
+    # takes every label outside that range.
+    labs = X_labs[:b]  # int64, whatever the caller passed
+    lo = labs.min()
+    table = np.zeros(labs.max() - lo + 2, dtype=np.bool_)
+    table[labs - lo] = True
+    slot = (X_labs - lo).view(np.uint64)
+    np.minimum(slot, table.size - 1, out=slot)
+    shared = np.flatnonzero(table[slot])
+    r, c = np.divmod(np.flatnonzero(labs[:, None] == X_labs[shared]), shared.size)
     c = shared[c]
     same = r * n + c
     positives = same[r != c]
@@ -183,7 +228,7 @@ def contrastive_loss(
     # squared distance of a pair is (g + |e|^2) + |x|^2, the true Euclidean
     # one rather than the unit-sphere shortcut, so the gradients stay exact
     # for off-sphere probe points.
-    g = np.matmul(-2.0 * E, X.T, out=buffer("dist", (b, n)))
+    g = np.matmul(-2.0 * E, XT, out=buffer("dist", (b, n)))
 
     # Negative candidates in one threshold pass: d^2 < neg_margin^2 implies
     # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
@@ -216,11 +261,11 @@ def contrastive_loss(
     live = np.flatnonzero(active & (dist > _GRAD_EPS))
     coef = 1.0 / dist[live]
     coef[live >= n_neg] *= -1.0
-    live_rows, dim = rows[live], E.shape[1]
+    live_rows = rows[live]
     terms = X[cols[live]]
     terms -= E[live_rows]
     terms *= coef[:, None]
-    flat = (live_rows * dim)[:, None] + np.arange(dim)
+    flat = np.arange(b * dim).reshape(b, dim)[live_rows]
     grad = np.bincount(flat.ravel(), terms.ravel(), b * dim).astype(np.float64, copy=False)
     grad = grad.reshape(b, dim) / num_pairs
 
@@ -312,8 +357,9 @@ class Encoder:
             inputs.append(np.tanh(inputs[-1] @ w + b_))
         w, b_ = self.layers[-1]
         z = inputs[-1] @ w + b_
+        # np.linalg.norm's sum for real rows, without its wrapper.
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(z, axis=1)
+            norms = np.sqrt(np.add.reduce(z * z, axis=1))
         # An overflowing norm would silently turn z / norms into zeros.
         if not np.all(np.isfinite(norms)):
             raise NonFiniteValue("encoder produced a non-finite descriptor norm")

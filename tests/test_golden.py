@@ -30,12 +30,12 @@ import copydet
 from copydet import EmbeddingSet, Encoder, RunManifest, write_embeddings
 
 GOLDEN = {
-    "embeddings/queries.emb": "8016a1e7b33932ecf551760093ef2817172436e742480790d655555afefbb27b",
-    "embeddings/queries_post.emb": "371c6f0ce346a3aa0df5bd69f1ed4616aff3d24a62d5bc63551d5fb27cc9c4cc",
-    "embeddings/reference.emb": "f717f0fdcd338f9725a0717d9a96003997f500cc74053d40948b884bcc0e2e3a",
-    "embeddings/reference_post.emb": "98315e1302faef8b08d719bf657038dd9ad7e1fa424384c14bc44e40787fe53b",
-    "embeddings/training.emb": "aa4f8bd8a5996d5a1117852ec61e00cdbfd177c22569dfb44a78c57fe522899c",
-    "report.json": "9a8c5f783862a1f282a0b34da89e2038fcb0b28f1cd0dbcdaf64a0cd5e4394cd",
+    "embeddings/queries.emb": "473471e985ad73d58a8601b7b1cfc1a1dfd1b0153c115a7eeedd3d36e306e701",
+    "embeddings/queries_post.emb": "fb8a8281214b904b5e6b66e5128ebc0fb3a2e2a3d5d9e8f24b0d0e534cb1153c",
+    "embeddings/reference.emb": "02e5f1d809fb1783e0d967893204b8d30f571040b6910a598d8c3bf51560d0b0",
+    "embeddings/reference_post.emb": "84b1a4d36d967b230ee42b6f83654e952803c132f5fe0bee6342ff57559225a3",
+    "embeddings/training.emb": "83ad268b9eb821b3f43fa5194ded343e8d67458b7387a3ba81ca144e26560c4b",
+    "report.json": "934ea431524cbe54bd25ef710201614c7e966ae110c110eb0a2599597dcab976",
     "world/queries.emb": "eb54467f6d87aaa9f6f6ae3c1ff29394d4243a4b14179708aabea4bdbb474b36",
     "world/reference.emb": "3fe5213061a80ab9064e075fd84811eebf68da9d159abcf0f72b8eb0119778df",
     "world/training.emb": "27098f4adf593c31529947c7f5c3f2e91a0f4012a616671ad8398963ec116a44",
@@ -85,7 +85,7 @@ def test_small_manifest_artifacts_match_golden_hashes(tmp_path):
 
 # negative-swap's report covers its twin pool: a fresh draw the post-process
 # uses in place of the training pool.
-GOLDEN_SWAP_REPORT = "534bfbe9458f42ed856b6a593ecaf00efd271009e8fd71ad5ca66334aa531e90"
+GOLDEN_SWAP_REPORT = "b2bcaaf2db691f05c55c895a3f2d983fefd515a944ba8ed6e3480b6d504ac153"
 
 _SWAP_CHILD = _CHILD.replace("reproduce_trend", "negative_swap")
 

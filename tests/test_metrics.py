@@ -18,7 +18,7 @@ from copydet import (
     recall_at_precision,
     write_matches_tsv,
 )
-from copydet.metrics import read_gt_pairs, write_gt_csv
+from copydet.metrics import match_candidates, read_gt_pairs, write_gt_csv
 
 
 def ap_oracle(entries, gt_pairs, positives):
@@ -258,6 +258,51 @@ class TestBuildCandidates:
         np.testing.assert_allclose(
             [s for _, _, s in got.entries], [s for _, _, s in want.entries], atol=1e-6
         )
+
+
+def running_sum_oracle(entries, gt_pairs, positives, p):
+    """micro-AP and recall at ``p`` by one walk of the tuple ranking, adding
+    each true pair's precision to a Python float in rank order."""
+    total, best, tp = 0.0, 0.0, 0
+    for rank, (q, r, _) in enumerate(entries, start=1):
+        if (q, r) in gt_pairs:
+            tp += 1
+            total += tp / rank
+            if tp / rank >= p:
+                best = max(best, tp / positives)
+    return total / positives, best
+
+
+class TestArrayRanking:
+    def test_metrics_equal_running_sum_oracle_bit_for_bit(self):
+        # Integer scores on a few ids: many ties, broken by id order.
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            nq, nr = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            keys = rng.choice(nq * nr, size=int(rng.integers(1, nq * nr + 1)), replace=False)
+            entries = [(f"q{k // nr}", f"r{k % nr}", float(rng.integers(-4, 5))) for k in keys]
+            ranked = RankedMatches.from_candidates(entries)
+            gt_pairs = {(q, r) for q, r, _ in entries if rng.random() < 0.4} | {("q_none", "r0")}
+            gt = GroundTruth.from_pairs(gt_pairs)
+            p = float(rng.choice([0.25, 0.5, 0.9, 1.0]))
+            want_ap, want_recall = running_sum_oracle(ranked.entries, gt_pairs, len(gt_pairs), p)
+            assert micro_ap(ranked, gt) == want_ap
+            assert recall_at_precision(ranked, gt, p) == want_recall
+            assert ranked.entries == tuple(sorted(entries, key=lambda c: (-c[2], c[0], c[1])))
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_build_candidates_equals_ranking_of_match_candidates(self, k):
+        rng = np.random.default_rng(k)
+        # Rows of +-e_i give tied scores; ids out of order test the id tables.
+        def axis_rows(n):
+            return np.eye(4)[rng.integers(0, 4, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+
+        refs = EmbeddingSet(tuple(f"r{i}" for i in rng.permutation(30)), axis_rows(30))
+        queries = EmbeddingSet(tuple(f"q{i}" for i in rng.permutation(12)), axis_rows(12))
+        got = build_candidates(queries, refs, k)
+        want = RankedMatches.from_candidates(match_candidates(queries, refs, k))
+        assert len(got) == len(want) == 12 * min(k, 30)
+        assert got.entries == want.entries
 
 
 class TestMatchesTsv:

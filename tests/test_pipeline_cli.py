@@ -92,6 +92,10 @@ class TestManifest:
         with pytest.raises(ValueError, match="postprocess_targets"):
             tiny_manifest(tmp_path, postprocess_targets="everything")
 
+    def test_bad_world_tier_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^world_tier must be one of \(.*\), got 'bogus'$"):
+            tiny_manifest(tmp_path, world_tier="bogus")
+
 
 class TestReproduceTrend:
     def test_artifacts_and_report_shape(self, tmp_path):
@@ -194,6 +198,9 @@ _INVALID_SETTINGS = [
     (["reproduce-trend", "--n-train", "0"], "n_train must be >= 1, got 0"),
     (["gen-data", "--n-train", "0"], "n_train must be >= 1, got 0"),
     (["gen-data", "--n-query", "-2"], "n_query must be >= 1, got -2"),
+    (["gen-data", "--dim", "0"], "d_in must be >= 1, got 0"),
+    (["reproduce-trend", "--dim", "0"], "d_in must be >= 1, got 0"),
+    (["reproduce-trend", "--copy-rate", "1.5"], "copy_rate must be in [0, 1], got 1.5"),
     (["train", "--dim", "0"], "encoder_dim must be >= 1, got 0"),
 ]
 

@@ -474,6 +474,23 @@ class TestMemoryBank:
         with pytest.raises(ShapeMismatch):
             bank.push(np.zeros((2, 5)), np.array([0, 1]))
 
+    def test_loss_batches_of_changing_size_leave_the_ring_alone(self):
+        # The loss writes each batch into the storage head before the ring;
+        # an 80- and a 96-row batch grow that head, copying the ring. The
+        # ring wraps from the third push on.
+        rng = np.random.default_rng(80)
+        bank = MemoryBank(150, 8)
+        for step, b in enumerate((64, 80, 64, 96, 64, 80)):
+            emb, labels = unit_rows(rng, b, 8), np.tile(rng.integers(0, 60, size=b // 2), 2)
+            before = bank_contents(bank)
+            assert_matches_reference(emb, labels, bank, LossConfig(neg_margin=1.2))
+            after = bank_contents(bank)
+            np.testing.assert_array_equal(after[0], before[0])
+            np.testing.assert_array_equal(after[1], before[1])
+            bank.push(emb, labels)
+            assert len(bank) == min(150, sum((64, 80, 64, 96, 64, 80)[: step + 1]))
+        assert bank._cursor != 0
+
     def test_bank_detached_from_gradients(self):
         # Perturbing a bank entry changes the loss value but the batch
         # parameter gradients still match finite differences.
@@ -714,6 +731,36 @@ class TestMakePositivePair:
         np.testing.assert_array_equal(b, augment_vector(src, TIERS["weak"], oracle_rng))
 
 
+def _augment_drawing_every_op(x, tier, rng):
+    """augment_batch as it was before ops of zero magnitude were skipped:
+    every op draws and runs, whatever its magnitude."""
+    y = np.array(x, dtype=np.float64)
+    b, d = y.shape
+    order = np.argsort(rng.random((b, 4)), axis=1)
+    noise = rng.normal(0.0, tier.noise_sigma, (b, d))
+    npairs = d // 4
+    pairs = np.argsort(rng.random((b, d)), axis=1)[:, : 2 * npairs]
+    theta = rng.uniform(-tier.rotation_angle, tier.rotation_angle, (b, npairs))
+    cos, sin = np.cos(theta), np.sin(theta)
+    alpha = rng.uniform(tier.mix_low, tier.mix_high, (b, 1))
+    distractor = rng.standard_normal((b, d))
+    keep = rng.random((b, d)) >= tier.dropout_prob
+    for row in range(b):
+        for op in order[row]:
+            v = y[row]
+            if op == 0:
+                v += noise[row]
+            elif op == 1:
+                i, j = pairs[row, :npairs], pairs[row, npairs:]
+                c, s = cos[row], sin[row]
+                v[i], v[j] = c * v[i] - s * v[j], s * v[i] + c * v[j]
+            elif op == 2:
+                y[row] = (1.0 - alpha[row]) * v + alpha[row] * distractor[row]
+            else:
+                v *= keep[row]
+    return y
+
+
 class TestAugmentBatch:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -753,6 +800,26 @@ class TestAugmentBatch:
         assert rng.bit_generator.state == before
         np.testing.assert_array_equal(y, x)
         assert not np.shares_memory(y, x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), dim=st.integers(1, 40))
+    def test_weak_tier_draws_only_for_ops_that_act(self, seed, rows, dim):
+        # The weak tier neither mixes nor drops out: the rows equal those of
+        # a transform that draws every op, and the stream moves past the
+        # order, noise, pair and angle draws only.
+        x = np.random.default_rng(seed + 1).standard_normal((rows, dim))
+        weak = TIERS["weak"]
+        rng = np.random.default_rng(seed)
+        y = augment_batch(x, weak, rng)
+        every_op = np.random.default_rng(seed)
+        np.testing.assert_array_equal(y, _augment_drawing_every_op(x, weak, every_op))
+        acting = np.random.default_rng(seed)
+        acting.random((rows, 4))
+        acting.normal(0.0, weak.noise_sigma, (rows, dim))
+        acting.random((rows, dim))
+        acting.uniform(-weak.rotation_angle, weak.rotation_angle, (rows, dim // 4))
+        assert rng.bit_generator.state == acting.bit_generator.state
+        assert every_op.bit_generator.state != acting.bit_generator.state
 
     def test_block_views_are_one_call_per_view(self):
         block = np.random.default_rng(1).standard_normal((6, 8))
