@@ -12,7 +12,7 @@ from .datagen import TIER_NAMES, gen_world, load_world, write_world
 from .embedding import read_embeddings, write_embeddings
 from .errors import CopyDetError, FormatError
 from .metrics import (
-    match_candidates,
+    build_candidates,
     micro_ap,
     read_gt_csv,
     read_matches_tsv,
@@ -47,7 +47,7 @@ def _given(args, names) -> dict:
 def _cmd_gen_data(args) -> int:
     world = gen_world(**_given(args, inspect.signature(gen_world).parameters))
     write_world(world, args.out_dir)
-    print(json.dumps({"out_dir": args.out_dir, "positives": len(world.gt)}))
+    print(json.dumps({"out_dir": args.out_dir, "positives": world.gt.positives}))
     return 0
 
 
@@ -77,7 +77,7 @@ def _cmd_postprocess(args) -> int:
 def _cmd_search(args) -> int:
     queries = read_embeddings(args.queries)
     db = read_embeddings(args.db)
-    write_matches_tsv(args.out or sys.stdout, match_candidates(queries, db, args.k))
+    write_matches_tsv(args.out or sys.stdout, build_candidates(queries, db, args.k))
     return 0
 
 

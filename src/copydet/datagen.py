@@ -19,7 +19,7 @@ import numpy as np
 
 from .embedding import EmbeddingSet, read_embeddings, write_embeddings
 from .errors import FormatError
-from .metrics import read_gt_pairs, write_gt_csv
+from .metrics import GroundTruth, read_gt_csv, write_gt_csv
 
 TIER_NAMES = ("none", "weak", "intermediate", "strong")
 
@@ -125,7 +125,7 @@ class SyntheticWorld:
     training: EmbeddingSet
     reference: EmbeddingSet
     queries: EmbeddingSet
-    gt: tuple[tuple[str, str], ...]
+    gt: GroundTruth
 
     @property
     def dim(self) -> int:
@@ -147,16 +147,13 @@ def gen_world(
     tier; the remaining queries are fresh draws (distractors) from the same
     distribution as the references.
     """
-    check_world_settings(n_train, n_ref, n_query, d_in, copy_rate)
+    n_copy = check_world_settings(n_train, n_ref, n_query, d_in, copy_rate)
     tier_cfg = get_tier(tier)
     rng = substream(seed, "world")
 
     train = rng.standard_normal((n_train, d_in))
     ref = rng.standard_normal((n_ref, d_in))
 
-    n_copy = int(round(copy_rate * n_query))
-    if n_copy > n_ref:
-        raise ValueError(f"{n_copy} copy queries need at least that many references")
     src = rng.choice(n_ref, size=n_copy, replace=False)
     copies = augment_batch(ref[src], tier_cfg, rng)
     distractors = rng.standard_normal((n_query - n_copy, d_in))
@@ -168,20 +165,30 @@ def gen_world(
     queries[slots[n_copy:]] = distractors
 
     reference, query_set = raw_set("R", ref), raw_set("Q", queries)
-    gt = tuple(
-        sorted((query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy))
+    gt = GroundTruth.from_pairs(
+        (query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy)
     )
     return SyntheticWorld(raw_set("T", train), reference, query_set, gt)
 
 
-def check_world_settings(n_train: int, n_ref: int, n_query: int, d_in: int, copy_rate: float) -> None:
-    """Raise ValueError naming the first of :func:`gen_world`'s sizes or
-    its copy rate that is out of range."""
+def check_world_settings(n_train: int, n_ref: int, n_query: int, d_in: int, copy_rate: float) -> int:
+    """The number of copy queries of :func:`gen_world`'s settings.
+
+    Raises ValueError naming the first size or the copy rate that is out
+    of range, or when the copies outnumber the references they are drawn
+    from without replacement.
+    """
     for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query), ("d_in", d_in)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
     if not 0.0 <= copy_rate <= 1.0:
         raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
+    n_copy = int(round(copy_rate * n_query))
+    if n_copy > n_ref:
+        raise ValueError(
+            f"copy_rate {copy_rate} of n_query {n_query} gives {n_copy} copy queries, more than n_ref {n_ref}"
+        )
+    return n_copy
 
 
 def twin_pool(seed: int, n: int, d_in: int) -> EmbeddingSet:
@@ -211,7 +218,7 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> None:
     write_embeddings(world.training, out / "training.emb")
     write_embeddings(world.reference, out / "reference.emb")
     write_embeddings(world.queries, out / "queries.emb")
-    write_gt_csv(out / "gt.csv", world.gt)
+    write_gt_csv(out / "gt.csv", sorted(world.gt.pairs))
 
 
 def load_world(world_dir: str | Path) -> SyntheticWorld:
@@ -221,10 +228,11 @@ def load_world(world_dir: str | Path) -> SyntheticWorld:
     reference = read_embeddings(d / "reference.emb")
     queries = read_embeddings(d / "queries.emb")
     gt_path = d / "gt.csv"
-    gt = tuple(read_gt_pairs(gt_path))
+    gt = read_gt_csv(gt_path)
     qids = set(queries.ids)
     rids = set(reference.ids)
-    for q, r in gt:
+    # Sorted, so that the unknown pair named does not follow the hash seed.
+    for q, r in sorted(gt.pairs):
         if q not in qids or r not in rids:
             raise FormatError(f"{gt_path}: pair ({q!r}, {r!r}) references unknown ids")
     return SyntheticWorld(training, reference, queries, gt)

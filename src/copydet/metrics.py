@@ -56,9 +56,10 @@ def write_gt_csv(path: str | Path, pairs: Iterable[tuple[str, str]]) -> None:
     write_bytes_atomic(path, text.getvalue().encode("utf-8"))
 
 
-def read_gt_pairs(path: str | Path) -> list[tuple[str, str]]:
-    """Pairs of a ``query_id,reference_id`` CSV, in file order, each row one new pair."""
-    pairs: dict[tuple[str, str], None] = {}
+def read_gt_csv(path: str | Path) -> GroundTruth:
+    """Ground truth from a CSV written by :func:`write_gt_csv`; a repeated
+    pair or a row of the wrong width is a FormatError naming its line."""
+    pairs: set[tuple[str, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -70,13 +71,8 @@ def read_gt_pairs(path: str | Path) -> list[tuple[str, str]]:
             pair = (row[0], row[1])
             if pair in pairs:
                 raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
-            pairs[pair] = None
-    return list(pairs)
-
-
-def read_gt_csv(path: str | Path) -> GroundTruth:
-    """Ground truth from a CSV written by :func:`write_gt_csv`."""
-    return GroundTruth(frozenset(read_gt_pairs(path)))
+            pairs.add(pair)
+    return GroundTruth(frozenset(pairs))
 
 
 class RankedMatches:
@@ -200,18 +196,6 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
     return int(qualifying[-1]) / gt.positives if qualifying.size else 0.0
 
 
-def match_candidates(
-    queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int
-) -> list[Candidate]:
-    """Top ``per_query_k`` references per query as (query_id, reference_id, score), in query order."""
-    idx, scores = topk_batch(queries, references, per_query_k)
-    return [
-        (qid, references.ids[i], s)
-        for qid, row_idx, row_scores in zip(queries.ids, idx.tolist(), scores.tolist())
-        for i, s in zip(row_idx, row_scores)
-    ]
-
-
 def build_candidates(
     queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int = 1
 ) -> RankedMatches:
@@ -221,20 +205,18 @@ def build_candidates(
     return RankedMatches(queries.ids, rows, references.ids, idx.ravel(), scores.ravel())
 
 
-def write_matches_tsv(
-    path_or_handle, candidates: Iterable[Candidate]
-) -> None:
-    """Write ``query_id<TAB>reference_id<TAB>score`` lines.
+def write_matches_tsv(path_or_handle, ranked: RankedMatches) -> None:
+    """Write the ranking as ``query_id<TAB>reference_id<TAB>score`` lines,
+    in ranking order.
 
     Scores use shortest round-trip float formatting so a reload ranks
     identically. A path is replaced atomically. An id holding a tab would
     not read back, so it raises ValueError before anything is written.
     """
-    cands = list(candidates)
-    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in cands)
-    if lines.count("\t") != 2 * len(cands):
-        bad = next(i for c in cands for i in c[:2] if "\t" in i)
+    bad = next((i for i in ranked.query_ids + ranked.reference_ids if "\t" in i), None)
+    if bad is not None:
         raise ValueError(f"id {bad!r} contains a tab, which matches.tsv cannot hold")
+    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in ranked.entries)
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(lines)
     else:

@@ -73,7 +73,11 @@ class RunManifest:
             raise ValueError(
                 f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
             )
-        check_world_settings(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate)
+        if check_world_settings(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate) == 0:
+            # micro_ap is undefined without a true pair.
+            raise ValueError(
+                f"copy_rate {self.copy_rate} of n_query {self.n_query} gives 0 copy queries; a run needs at least 1"
+            )
         if self.world_tier not in TIER_NAMES:
             raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
         for name in ("encoder_dim", "per_query_k"):
@@ -120,7 +124,6 @@ class TrainedRun:
 
     world: SyntheticWorld
     encoder: Encoder
-    gt: GroundTruth
     query_emb: EmbeddingSet
     ref_emb: EmbeddingSet
     train_emb: EmbeddingSet
@@ -159,12 +162,11 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
         copy_rate=manifest.copy_rate,
         tier=manifest.world_tier,
     )
-    gt = GroundTruth.from_pairs(world.gt)
     stage_rows: list[dict] = []
 
     def evaluate_stage(encoder, stage, stage_metrics):
         queries, refs = encoder.encode_set(world.queries), encoder.encode_set(world.reference)
-        ap, r90 = _evaluate(queries, refs, gt, manifest.per_query_k)
+        ap, r90 = _evaluate(queries, refs, world.gt, manifest.per_query_k)
         stage_rows.append(
             {
                 "stage": stage.index,
@@ -182,7 +184,7 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
     query_emb = encoder.encode_set(world.queries)
     ref_emb = encoder.encode_set(world.reference)
     train_emb = encoder.encode_set(world.training)
-    return TrainedRun(world, encoder, gt, query_emb, ref_emb, train_emb, stage_rows)
+    return TrainedRun(world, encoder, query_emb, ref_emb, train_emb, stage_rows)
 
 
 def _postprocess_eval(
@@ -194,7 +196,7 @@ def _postprocess_eval(
         queries = subtract_negatives_batch(queries, negatives, cfg)
     if manifest.postprocess_targets in ("references", "both"):
         refs = subtract_negatives_batch(refs, negatives, cfg)
-    ap, r90 = _evaluate(queries, refs, run.gt, manifest.per_query_k)
+    ap, r90 = _evaluate(queries, refs, run.world.gt, manifest.per_query_k)
     return ap, r90, queries, refs
 
 
@@ -257,7 +259,7 @@ def negative_swap(manifest: RunManifest) -> dict:
 def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
     """The negative-swap report of an already trained run, as for
     :func:`trend_report`."""
-    base_ap, base_r90 = _evaluate(run.query_emb, run.ref_emb, run.gt, manifest.per_query_k)
+    base_ap, base_r90 = _evaluate(run.query_emb, run.ref_emb, run.world.gt, manifest.per_query_k)
 
     train_ap, train_r90, _, _ = _postprocess_eval(run, run.train_emb, manifest)
 
@@ -282,7 +284,7 @@ def _write_report(command: str, run: TrainedRun, manifest: RunManifest, **body) 
         "manifest_hash": manifest.hash(),
         "tool_version": manifest.tool_version,
         "seed": manifest.seed,
-        "positives": run.gt.positives,
+        "positives": run.world.gt.positives,
         **body,
     }
     out = Path(manifest.out_dir)

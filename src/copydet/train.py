@@ -25,7 +25,7 @@ import numpy as np
 
 from .datagen import TIERS, AugmentTier, SyntheticWorld, augment_batch, get_tier
 from .embedding import ZERO_NORM, EmbeddingSet, write_bytes_atomic
-from .errors import EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
+from .errors import DimMismatch, EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
 
 ENCODER_MAGIC = b"ISCW"
 ENCODER_VERSION = 1
@@ -316,6 +316,8 @@ class Encoder:
         for i, (w, b_) in enumerate(self.layers):
             if w.ndim != 2 or b_.shape != (w.shape[1],):
                 raise ShapeMismatch(f"layer shapes {w.shape} / {b_.shape}")
+            if min(w.shape) < 1:
+                raise ShapeMismatch(f"layer {i + 1} is {w.shape[0]} x {w.shape[1]}; both dims must be >= 1")
             if i and w.shape[0] != self.layers[i - 1][0].shape[1]:
                 raise ShapeMismatch("hidden layer width mismatch between layers")
 
@@ -348,7 +350,10 @@ class Encoder:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Unit-norm descriptors for raw input rows."""
-        return self._forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))[0]
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[-1] != self.d_in:
+            raise DimMismatch(f"encoder takes {self.d_in}-dim input, got {x.shape[-1]}-dim rows")
+        return self._forward_cached(x)[0]
 
     def _forward_cached(self, x: np.ndarray):
         # inputs[i] is layer i's input: x, then the tanh of each hidden layer.
@@ -566,8 +571,10 @@ def run_stage(
     each batch slices its rows out of the block. When enabled, unaugmented
     reference rows join the batch under their own labels (pure negatives)
     and ground-truth query/reference pairs join under a shared label (extra
-    positives); reference and query rows are never augmented. After each
-    optimizer step the batch embeddings are pushed into the bank.
+    positives), drawn from the pairs in sorted order, so a run does not
+    depend on the order of ``gt.csv``; reference and query rows are never
+    augmented. After each optimizer step the batch embeddings are pushed
+    into the bank.
     """
     tier = get_tier(stage.tier)
     train_raw = world.training.matrix.astype(np.float64)
@@ -576,7 +583,7 @@ def run_stage(
     n_train, n_ref = train_raw.shape[0], ref_raw.shape[0]
     qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
     rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
-    gt_idx = np.array([(qpos[q], rpos[r]) for q, r in world.gt], dtype=np.int64).reshape(-1, 2)
+    gt_idx = np.array([(qpos[q], rpos[r]) for q, r in sorted(world.gt.pairs)], dtype=np.int64).reshape(-1, 2)
 
     state: list[np.ndarray] | None = None
     epoch_losses: list[float] = []

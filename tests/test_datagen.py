@@ -72,16 +72,16 @@ class TestAugmentVector:
 class TestGenWorld:
     def test_copy_rate_zero_empty_gt(self):
         world = gen_world(seed=1, n_train=32, n_ref=32, n_query=16, d_in=8, copy_rate=0.0)
-        assert world.gt == ()
+        assert world.gt.positives == 0
 
     def test_copy_rate_one_tier_none_exact_copies(self):
         world = gen_world(
             seed=2, n_train=32, n_ref=64, n_query=16, d_in=8, copy_rate=1.0, tier="none"
         )
-        assert len(world.gt) == 16
+        assert world.gt.positives == 16
         rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
         qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
-        for q, r in world.gt:
+        for q, r in world.gt.pairs:
             np.testing.assert_array_equal(
                 world.queries.matrix[qpos[q]], world.reference.matrix[rpos[r]]
             )
@@ -101,7 +101,7 @@ class TestGenWorld:
 
     def test_at_most_one_gt_per_query(self):
         world = gen_world(seed=3, n_train=32, n_ref=64, n_query=32, d_in=8, copy_rate=0.8)
-        queries = [q for q, _ in world.gt]
+        queries = [q for q, _ in world.gt.pairs]
         assert len(queries) == len(set(queries))
 
     def test_training_reference_disjoint(self):

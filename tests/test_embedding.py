@@ -11,6 +11,7 @@ from copydet import (
     EmbeddingSet,
     Encoder,
     FormatError,
+    RankedMatches,
     ZeroVector,
     normalize,
     read_embeddings,
@@ -279,7 +280,7 @@ class TestSerializationProperties:
 
 
 def _write_tsv(path, v):
-    write_matches_tsv(path, [("q", "r", v)])
+    write_matches_tsv(path, RankedMatches.from_candidates([("q", "r", v)]))
 
 
 def _write_emb(path, v):

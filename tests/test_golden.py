@@ -103,7 +103,7 @@ def test_small_manifest_negative_swap_report_matches_golden_hash(tmp_path):
 # row shorter than numpy's 8192-element ufunc buffer.
 GOLDEN_MATCH = {
     "eval.json": "66e184db8ba1f2c6bc6f67f4cf7e1e6a2eb47071c15db4d993c21175e5047347",
-    "matches.tsv": "bbc64f4893bd82350c3a3e667f542e421d67df2396817791e5743d07e71ccd21",
+    "matches.tsv": "c935872ca63f7abe43bed3572b629d60ed51f0f82958624d6ca8ad1d7e57083d",
     "queries_post.emb": "55af7a7781b21af23e4e63d18d9e0dbfb5ffbff96e197e45a21eb4e78d793f13",
     "reference_post.emb": "d81a966766ef64c39852a4b01ff275fe1feed159521f309799a3550babdd19f6",
 }

@@ -16,9 +16,11 @@ from copydet import (
     read_gt_csv,
     read_matches_tsv,
     recall_at_precision,
+    write_embeddings,
     write_matches_tsv,
 )
-from copydet.metrics import match_candidates, read_gt_pairs, write_gt_csv
+from copydet.cli import main
+from copydet.metrics import write_gt_csv
 
 
 def ap_oracle(entries, gt_pairs, positives):
@@ -291,18 +293,26 @@ class TestArrayRanking:
             assert ranked.entries == tuple(sorted(entries, key=lambda c: (-c[2], c[0], c[1])))
 
     @pytest.mark.parametrize("k", [1, 3, 40])
-    def test_build_candidates_equals_ranking_of_match_candidates(self, k):
+    def test_search_writes_build_candidates_in_ranking_order(self, tmp_path, k):
         rng = np.random.default_rng(k)
-        # Rows of +-e_i give tied scores; ids out of order test the id tables.
+        # Rows of +-e_i give tied scores; ids whose file order is not their
+        # sorted order test the id tables.
         def axis_rows(n):
             return np.eye(4)[rng.integers(0, 4, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
 
         refs = EmbeddingSet(tuple(f"r{i}" for i in rng.permutation(30)), axis_rows(30))
         queries = EmbeddingSet(tuple(f"q{i}" for i in rng.permutation(12)), axis_rows(12))
-        got = build_candidates(queries, refs, k)
-        want = RankedMatches.from_candidates(match_candidates(queries, refs, k))
-        assert len(got) == len(want) == 12 * min(k, 30)
-        assert got.entries == want.entries
+        assert list(refs.ids) != sorted(refs.ids) and list(queries.ids) != sorted(queries.ids)
+        write_embeddings(refs, tmp_path / "r.emb")
+        write_embeddings(queries, tmp_path / "q.emb")
+        argv = ["search", "--queries", str(tmp_path / "q.emb"), "--db", str(tmp_path / "r.emb"),
+                "--k", str(k), "--out", str(tmp_path / "m.tsv")]
+        assert main(argv) == 0
+        want = build_candidates(queries, refs, k).entries
+        assert len(want) == 12 * min(k, 30)
+        lines = (tmp_path / "m.tsv").read_text().splitlines()
+        assert lines == [f"{q}\t{r}\t{s!r}" for q, r, s in want]
+        assert read_matches_tsv(tmp_path / "m.tsv").entries == want
 
 
 class TestMatchesTsv:
@@ -311,17 +321,17 @@ class TestMatchesTsv:
         entries = [(f"q{i}", f"r{i}", float(rng.standard_normal())) for i in range(50)]
         ranked = RankedMatches.from_candidates(entries)
         path = tmp_path / "matches.tsv"
-        write_matches_tsv(path, ranked.entries)
+        write_matches_tsv(path, ranked)
         got = read_matches_tsv(path)
         assert got.entries == ranked.entries
 
     def test_writes_to_handle(self):
         buf = io.StringIO()
-        write_matches_tsv(buf, [("q", "r", 0.5)])
+        write_matches_tsv(buf, RankedMatches.from_candidates([("q", "r", 0.5)]))
         assert buf.getvalue() == "q\tr\t0.5\n"
 
     def test_tab_in_id_rejected_before_writing(self, tmp_path):
-        cands = [("q", "r", 0.5), ("q", "r\t1", 0.25)]
+        cands = RankedMatches.from_candidates([("q", "r", 0.5), ("q", "r\t1", 0.25)])
         buf = io.StringIO()
         with pytest.raises(ValueError, match=r"'r\\t1'"):
             write_matches_tsv(buf, cands)
@@ -344,5 +354,4 @@ class TestGtCsv:
         path = tmp_path / "gt.csv"
         write_gt_csv(path, pairs)
         assert path.read_bytes() == b"query_id,reference_id\r\nq2,r9\r\nq1,r3\r\nq3,r1\r\n"
-        assert read_gt_pairs(path) == pairs
-        assert read_gt_csv(path).pairs == frozenset(pairs)
+        assert read_gt_csv(path) == GroundTruth.from_pairs(pairs)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ _INVALID_SETTINGS = [
     (["reproduce-trend", "--dim", "0"], "d_in must be >= 1, got 0"),
     (["reproduce-trend", "--copy-rate", "1.5"], "copy_rate must be in [0, 1], got 1.5"),
     (["train", "--dim", "0"], "encoder_dim must be >= 1, got 0"),
+    (["reproduce-trend", "--copy-rate", "0"],
+     "copy_rate 0.0 of n_query 1024 gives 0 copy queries; a run needs at least 1"),
+    (["negative-swap", "--n-query", "32", "--copy-rate", "0.01"],
+     "copy_rate 0.01 of n_query 32 gives 0 copy queries; a run needs at least 1"),
+    (["reproduce-trend", "--n-ref", "8", "--n-query", "64"],
+     "copy_rate 0.25 of n_query 64 gives 16 copy queries, more than n_ref 8"),
+    (["gen-data", "--n-ref", "4", "--n-query", "8", "--copy-rate", "1"],
+     "copy_rate 1.0 of n_query 8 gives 8 copy queries, more than n_ref 4"),
 ]
 
 
@@ -250,6 +259,55 @@ class TestCli:
         assert [s["mean_loss"] for s in printed["stages"]] == [
             r["mean_loss"] for r in run.stage_rows
         ]
+
+    def test_gen_data_allows_a_world_without_copies(self, tmp_path, capsys):
+        argv = ["gen-data", "--seed", "7", "--out-dir", str(tmp_path / "world"),
+                "--n-train", "8", "--n-ref", "8", "--n-query", "4", "--dim", "4", "--copy-rate", "0"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["positives"] == 0
+        assert (tmp_path / "world" / "gt.csv").read_text() == "query_id,reference_id\n"
+
+    def test_train_does_not_depend_on_gt_row_order(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        world, flipped = tmp_path / "world", tmp_path / "flipped"
+        flipped.mkdir()
+        for f in world.iterdir():
+            (flipped / f.name).write_bytes(f.read_bytes())
+        header, *rows = (world / "gt.csv").read_text().splitlines()
+        (flipped / "gt.csv").write_text("\n".join([header, *reversed(rows)]) + "\n")
+        # gt_per_batch 2 of 16 pairs: each batch draws which pairs join it.
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([
+            dict(index=1, tier="weak", include_gt_positives=True, epochs=1, lr=0.3,
+                 batch_size=16, gt_per_batch=2),
+        ]))
+        for name in ("world", "flipped"):
+            argv = ["train", "--world", str(tmp_path / name), "--stages", str(stages),
+                    "--seed", "7", "--out", str(tmp_path / f"{name}.bin"), "--dim", "4"]
+            assert main(argv) == 0
+        assert (tmp_path / "world.bin").read_bytes() == (tmp_path / "flipped.bin").read_bytes()
+
+    @pytest.mark.parametrize("d_in, d_out", [(8, 0), (0, 4)])
+    def test_embed_zero_width_layer_exit_2(self, tmp_path, capsys, d_in, d_out):
+        path = tmp_path / "enc.bin"
+        path.write_bytes(
+            b"ISCW" + struct.pack("<IIII", 1, 1, d_in, d_out) + bytes(4 * (d_in * d_out + d_out))
+        )
+        write_embeddings(EmbeddingSet(("a",), np.ones((1, 8)), unit_norm=False), tmp_path / "raw.emb")
+        rc = main(["embed", "--encoder", str(path), "--in", str(tmp_path / "raw.emb"),
+                   "--out", str(tmp_path / "out.emb")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"copydet: {path}: layer 1 is {d_in} x {d_out}")
+        assert not (tmp_path / "out.emb").exists()
+
+    def test_embed_dim_mismatch_exit_1(self, tmp_path, capsys):
+        Encoder.init(8, 4).save(tmp_path / "enc.bin")
+        write_embeddings(EmbeddingSet(("a", "b"), np.ones((2, 16)), unit_norm=False), tmp_path / "raw.emb")
+        rc = main(["embed", "--encoder", str(tmp_path / "enc.bin"), "--in", str(tmp_path / "raw.emb"),
+                   "--out", str(tmp_path / "out.emb")])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: encoder takes 8-dim input, got 16-dim rows\n"
+        assert not (tmp_path / "out.emb").exists()
 
     def test_full_chain_train_embed_search_eval(self, tmp_path, capsys):
         self._gen(tmp_path, capsys)
@@ -352,11 +410,10 @@ class TestCli:
         ])
         assert rc == 0
         lines = [l.split("\t") for l in (tmp_path / "m.tsv").read_text().splitlines()]
-        queries = read_embeddings(world / "queries.emb")
-        assert [l[0] for l in lines] == [q for q in queries.ids for _ in range(3)]
-        for i in range(0, len(lines), 3):
-            scores = [float(l[2]) for l in lines[i : i + 3]]
-            assert scores == sorted(scores, reverse=True)
+        assert len(lines) == 32 * 3
+        # One global ranking: score descending, then query id, then reference id.
+        keys = [(-float(s), q, r) for q, r, s in lines]
+        assert keys == sorted(keys)
 
     def test_search_stdout_default(self, tmp_path, capsys):
         self._gen(tmp_path, capsys)
@@ -601,7 +658,7 @@ class TestCli:
 # value and the manifest field it sets.
 _RUN_FLAGS = [
     ("--n-train", "96", "n_train", 96),
-    ("--n-ref", "80", "n_ref", 80),
+    ("--n-ref", "320", "n_ref", 320),
     ("--n-query", "24", "n_query", 24),
     ("--dim", "12", "d_in", 12),
     ("--copy-rate", "0.5", "copy_rate", 0.5),

@@ -949,7 +949,7 @@ class TestRunStage:
         train_raw = world.training.matrix.astype(np.float64)
         ref_raw = world.reference.matrix.astype(np.float64)
         query_raw = world.queries.matrix.astype(np.float64)
-        gt_rows = {(int(q[1:]), int(r[1:])) for q, r in world.gt}  # ids are Q/R + row
+        gt_rows = {(int(q[1:]), int(r[1:])) for q, r in world.gt.pairs}  # ids are Q/R + row
         fed = self._record_losses(monkeypatch)
         rng = substream(9, "train")
         stage = StageConfig(
