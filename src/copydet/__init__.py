@@ -10,7 +10,6 @@ from .datagen import (
     AugmentTier,
     SyntheticWorld,
     augment_batch,
-    augment_vector,
     gen_world,
     get_tier,
     load_world,
@@ -57,7 +56,6 @@ from .train import (
     contrastive_loss,
     default_stage_schedule,
     encoder_loss_and_grads,
-    make_positive_pair,
     run_stage,
     sgd_momentum_step,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "TOOL_VERSION",
     "ZeroVector",
     "augment_batch",
-    "augment_vector",
     "build_candidates",
     "contrastive_loss",
     "default_stage_schedule",
@@ -95,7 +92,6 @@ __all__ = [
     "gen_world",
     "get_tier",
     "load_world",
-    "make_positive_pair",
     "micro_ap",
     "negative_swap",
     "normalize",

@@ -113,11 +113,6 @@ def augment_batch(x: np.ndarray, tier: AugmentTier, rng: np.random.Generator) ->
     return y
 
 
-def augment_vector(v: np.ndarray, tier: AugmentTier, rng: np.random.Generator) -> np.ndarray:
-    """Transform one raw vector: :func:`augment_batch` on a one-row block."""
-    return augment_batch(np.asarray(v)[None, :], tier, rng)[0]
-
-
 @dataclass(frozen=True)
 class SyntheticWorld:
     """Training / reference / query raw sets plus (query, reference) ground truth."""
@@ -222,11 +217,20 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> None:
 
 
 def load_world(world_dir: str | Path) -> SyntheticWorld:
-    """Load a directory written by :func:`write_world`."""
+    """Load a directory written by :func:`write_world`.
+
+    The three raw sets must share one dimension; the first set whose
+    dimension differs from ``training.emb``'s raises FormatError naming it.
+    """
     d = Path(world_dir)
     training = read_embeddings(d / "training.emb")
     reference = read_embeddings(d / "reference.emb")
     queries = read_embeddings(d / "queries.emb")
+    for name, es in (("reference.emb", reference), ("queries.emb", queries)):
+        if es.dim != training.dim:
+            raise FormatError(
+                f"{d / name}: {es.dim}-dim rows, but training.emb has {training.dim}-dim rows"
+            )
     gt_path = d / "gt.csv"
     gt = read_gt_csv(gt_path)
     qids = set(queries.ids)

@@ -15,7 +15,6 @@ query/reference pairs as extra positives.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import get_origin, get_type_hints
 
 import numpy as np
 
-from .datagen import TIERS, AugmentTier, SyntheticWorld, augment_batch, get_tier
+from .datagen import TIERS, SyntheticWorld, augment_batch, get_tier
 from .embedding import ZERO_NORM, EmbeddingSet, write_bytes_atomic
 from .errors import DimMismatch, EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
 
@@ -74,7 +73,6 @@ class MemoryBank:
         self.capacity = capacity
         self._size = 0
         self._cursor = 0
-        self._scratch: dict[str, np.ndarray] = {}
         self._rows = np.zeros((capacity, dim), dtype=np.float64)
         self._rows_t = np.zeros((dim, capacity), dtype=np.float64)
         self._sq = np.zeros(capacity, dtype=np.float64)
@@ -116,12 +114,6 @@ class MemoryBank:
         self._cursor = (self._cursor + n) % ring
         self._size = min(self._size + n, self.capacity)
 
-    def live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views, for reading, of the occupied slots in ring (storage) order:
-        embeddings, their squared norms and labels. No copy is made."""
-        n = self._size
-        return self._emb[:n], self._sq_norms[:n], self._labels[:n]
-
     def with_batch(
         self, embeddings: np.ndarray, labels: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,20 +139,6 @@ class MemoryBank:
         self._sq[lo : self._head] = _sq_norms(embeddings)
         self._labs[lo : self._head] = labels
         return self._rows[lo:hi], self._rows_t[:, lo:hi], self._sq[lo:hi], self._labs[lo:hi]
-
-    def _buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """An uninitialised buffer of ``shape``, reused across calls per name.
-
-        The loss keeps its batch-by-bank temporaries here, so the training
-        loop does not page-fault a fresh multi-megabyte array every step.
-        Buffers grow geometrically while the bank fills.
-        """
-        size = math.prod(shape)
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size:
-            grown = 0 if buf is None else 2 * buf.size
-            buf = self._scratch[name] = np.empty(max(size, grown), dtype)
-        return buf[:size].reshape(shape)
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -201,7 +179,6 @@ def contrastive_loss(
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
-    buffer = bank._buffer
     X, XT, sq, X_labs = bank.with_batch(E, labs)
     # The candidate bound below holds for finite rows only.
     if not np.isfinite(sq).all():
@@ -228,7 +205,7 @@ def contrastive_loss(
     # squared distance of a pair is (g + |e|^2) + |x|^2, the true Euclidean
     # one rather than the unit-sphere shortcut, so the gradients stay exact
     # for off-sphere probe points.
-    g = np.matmul(-2.0 * E, XT, out=buffer("dist", (b, n)))
+    g = np.matmul(-2.0 * E, XT)
 
     # Negative candidates in one threshold pass: d^2 < neg_margin^2 implies
     # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
@@ -236,7 +213,7 @@ def contrastive_loss(
     # every active negative; the exact hinge test runs on their distances.
     nm2 = cfg.neg_margin * cfg.neg_margin
     bound = nm2 - sq[:b].min() - sq.min() + 1e-9 * (nm2 + 4.0 * sq.max())
-    mask = np.less(g, bound, out=buffer("mask", (b, n), np.bool_))
+    mask = g < bound
     mask.reshape(-1)[same] = False
     pairs = np.concatenate((np.flatnonzero(mask), positives))
     n_neg = pairs.size - positives.size
@@ -451,26 +428,6 @@ def encoder_loss_and_grads(
     return loss, encoder._backward(cache, grad_e), e
 
 
-def make_positive_pair(
-    source: np.ndarray, tier: AugmentTier, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two views of a raw item, or of every row of a (B, d) block: a
-    tier-strength transform and a weak one.
-
-    Each view is one :func:`augment_batch` call over the whole block, the
-    tier-strength view first; :func:`run_stage` passes the rows of several
-    batches at once. The "none" tier returns the source unchanged twice and
-    consumes no randomness; :func:`run_stage` does not call this at that
-    tier and feeds the one unchanged view.
-    """
-    src = np.asarray(source, dtype=np.float64)
-    block = np.atleast_2d(src)
-    weak = tier if tier.name == "none" else TIERS["weak"]
-    view_a = augment_batch(block, tier, rng)
-    view_b = augment_batch(block, weak, rng)
-    return view_a.reshape(src.shape), view_b.reshape(src.shape)
-
-
 @dataclass
 class StageConfig:
     """One step of the progressive schedule."""
@@ -567,14 +524,14 @@ def run_stage(
     Every batch holds two augmented views per item, both labelled by the
     item; at tier "none" it holds the unchanged item once. The views are
     drawn for a block of ``_AUGMENT_BLOCK_BATCHES`` batches at a time, one
-    :func:`augment_batch` call per view (:func:`make_positive_pair`), and
-    each batch slices its rows out of the block. When enabled, unaugmented
-    reference rows join the batch under their own labels (pure negatives)
-    and ground-truth query/reference pairs join under a shared label (extra
-    positives), drawn from the pairs in sorted order, so a run does not
-    depend on the order of ``gt.csv``; reference and query rows are never
-    augmented. After each optimizer step the batch embeddings are pushed
-    into the bank.
+    :func:`augment_batch` call per view, the tier-strength view first and
+    then a weak one, and each batch slices its rows out of the block. When
+    enabled, unaugmented reference rows join the batch under their own
+    labels (pure negatives) and ground-truth query/reference pairs join
+    under a shared label (extra positives), drawn from the pairs in sorted
+    order, so a run does not depend on the order of ``gt.csv``; reference
+    and query rows are never augmented. After each optimizer step the batch
+    embeddings are pushed into the bank.
     """
     tier = get_tier(stage.tier)
     train_raw = world.training.matrix.astype(np.float64)
@@ -595,7 +552,10 @@ def run_stage(
             offset = start % block_rows
             if offset == 0:
                 block = train_raw[order[start : start + block_rows]]
-                views = (block,) if tier.name == "none" else make_positive_pair(block, tier, rng)
+                if tier.name == "none":
+                    views = (block,)
+                else:
+                    views = (augment_batch(block, tier, rng), augment_batch(block, TIERS["weak"], rng))
             items = order[start : start + stage.batch_size]
             blocks = [view[offset : offset + stage.batch_size] for view in views]
             labels = [items] * len(views)

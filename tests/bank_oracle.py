@@ -7,7 +7,8 @@ def bank_contents(bank):
     """Entries of ``bank`` oldest to newest, as (embeddings, labels) copies.
 
     Reads the ring storage and cursor directly, so it shares no code with
-    ``MemoryBank.live()``, which returns the occupied slots in storage order.
+    ``MemoryBank.with_batch()``, which reads the occupied slots in storage
+    order.
     """
     size = len(bank)
     if size < bank.capacity:

@@ -5,7 +5,7 @@ import pytest
 
 from copydet import (
     TIERS,
-    augment_vector,
+    augment_batch,
     gen_world,
     get_tier,
     load_world,
@@ -23,23 +23,23 @@ def mean_pairwise_cosine(matrix):
     return total / (n * (n - 1))
 
 
-class TestAugmentVector:
+class TestAugmentOneRow:
     def test_none_is_identity(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(16)
-        out = augment_vector(v, TIERS["none"], rng)
-        np.testing.assert_array_equal(out, v)
+        out = augment_batch(v[None, :], TIERS["none"], rng)
+        np.testing.assert_array_equal(out, v[None, :])
 
     def test_seeded_stream_deterministic(self):
-        v = np.arange(16, dtype=np.float64)
-        a = augment_vector(v, TIERS["strong"], np.random.default_rng(99))
-        b = augment_vector(v, TIERS["strong"], np.random.default_rng(99))
+        v = np.arange(16, dtype=np.float64)[None, :]
+        a = augment_batch(v, TIERS["strong"], np.random.default_rng(99))
+        b = augment_batch(v, TIERS["strong"], np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
 
     def test_input_not_mutated(self):
-        v = np.ones(16)
+        v = np.ones((1, 16))
         keep = v.copy()
-        augment_vector(v, TIERS["strong"], np.random.default_rng(1))
+        augment_batch(v, TIERS["strong"], np.random.default_rng(1))
         np.testing.assert_array_equal(v, keep)
 
     def test_tier_monotonicity(self):
@@ -52,7 +52,7 @@ class TestAugmentVector:
             stream = np.random.default_rng(7)
             cosines = []
             for v in sources:
-                out = augment_vector(v, TIERS[name], stream)
+                out = augment_batch(v[None, :], TIERS[name], stream)[0]
                 cosines.append(
                     np.dot(v, out) / (np.linalg.norm(v) * np.linalg.norm(out))
                 )

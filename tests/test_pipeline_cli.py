@@ -459,6 +459,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("copydet: ") and message in err
 
+    @pytest.mark.parametrize("stem", ["reference", "queries"])
+    def test_world_dim_mismatch_exit_2_before_training(self, tmp_path, capsys, monkeypatch, stem):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        world = tmp_path / "world"
+        assert main(["gen-data", "--seed", "7", "--out-dir", str(world),
+                     "--n-train", "16", "--n-ref", "16", "--n-query", "8", "--dim", "4"]) == 0
+        capsys.readouterr()
+        path = world / f"{stem}.emb"
+        ids = read_embeddings(path).ids
+        write_embeddings(EmbeddingSet(ids, np.ones((len(ids), 6)), unit_norm=False), path)
+        monkeypatch.setattr("copydet.pipeline.run_stage", unreachable)
+        out = tmp_path / "e.bin"
+        assert main(["train", "--world", str(world), "--seed", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"copydet: {path}: 6-dim rows, but training.emb has 4-dim rows\n"
+        )
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["embed", "--encoder", str(tmp_path / "none.bin"),
                    "--in", str(tmp_path / "none.emb"), "--out", str(tmp_path / "o.emb")])

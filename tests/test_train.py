@@ -20,11 +20,9 @@ from copydet import (
     ShapeMismatch,
     StageConfig,
     augment_batch,
-    augment_vector,
     contrastive_loss,
     encoder_loss_and_grads,
     gen_world,
-    make_positive_pair,
     run_stage,
     sgd_momentum_step,
     substream,
@@ -449,21 +447,36 @@ class TestMemoryBank:
             bank.push(labels[:, None] * np.array([1.0, -0.5]), labels)
             oracle += labels.tolist()
             expected = oracle[-capacity:]
-            emb, labs = bank_contents(bank)
-            assert labs.tolist() == expected
-            np.testing.assert_array_equal(emb, labs[:, None] * np.array([1.0, -0.5]))
-            live_emb, live_sq, live_labs = bank.live()
-            assert sorted(live_labs.tolist()) == sorted(expected)
-            np.testing.assert_array_equal(live_emb, live_labs[:, None] * np.array([1.0, -0.5]))
-            np.testing.assert_array_equal(live_sq, np.einsum("ij,ij->i", live_emb, live_emb))
+            emb, labs_before = bank_contents(bank)
+            assert labs_before.tolist() == expected
+            np.testing.assert_array_equal(emb, labs_before[:, None] * np.array([1.0, -0.5]))
+            # [batch; bank] puts the ring after the batch in storage order:
+            # label l sits in slot l % capacity.
+            batch_labels = -1 - np.arange(size)
+            batch = batch_labels[:, None] * np.array([0.25, 2.0])
+            rows, rows_t, sq, labs = bank.with_batch(batch, batch_labels)
+            ring = sorted(expected, key=lambda l: l % capacity)
+            assert labs.tolist() == batch_labels.tolist() + ring
+            np.testing.assert_array_equal(rows[:size], batch)
+            np.testing.assert_array_equal(rows[size:], np.array(ring)[:, None] * np.array([1.0, -0.5]))
+            np.testing.assert_array_equal(rows_t, rows.T)
+            np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", rows, rows))
+            after = bank_contents(bank)
+            np.testing.assert_array_equal(after[0], emb)
+            np.testing.assert_array_equal(after[1], labs_before)
 
     def test_capacity_zero_holds_nothing(self):
         bank = MemoryBank(0, 3)
         for size in (1, 4, 0):
             bank.push(np.ones((size, 3)), np.arange(size))
             assert len(bank) == 0
-            emb, sq, labels = bank.live()
-            assert emb.shape == (0, 3) and sq.shape == (0,) and labels.shape == (0,)
+            # [batch; bank] is the batch alone.
+            batch = np.arange(6.0).reshape(2, 3)
+            rows, rows_t, sq, labels = bank.with_batch(batch, np.array([7, 8]))
+            np.testing.assert_array_equal(rows, batch)
+            np.testing.assert_array_equal(rows_t, batch.T)
+            np.testing.assert_array_equal(sq, [5.0, 50.0])
+            np.testing.assert_array_equal(labels, [7, 8])
 
     def test_negative_capacity_raises(self):
         with pytest.raises(ValueError, match="capacity must be >= 0"):
@@ -708,29 +721,6 @@ class TestEncoderGradients:
             assert_grads_close(grads, fd_param_grads(enc, x, labels, bank, cfg))
 
 
-class TestMakePositivePair:
-    def test_tier_none_identity(self):
-        src = np.arange(8, dtype=float)
-        a, b = make_positive_pair(src, TIERS["none"], np.random.default_rng(0))
-        np.testing.assert_array_equal(a, src)
-        np.testing.assert_array_equal(b, src)
-
-    def test_seeded_determinism(self):
-        src = np.arange(8, dtype=float)
-        a1, b1 = make_positive_pair(src, TIERS["strong"], np.random.default_rng(5))
-        a2, b2 = make_positive_pair(src, TIERS["strong"], np.random.default_rng(5))
-        np.testing.assert_array_equal(a1, a2)
-        np.testing.assert_array_equal(b1, b2)
-
-    def test_strong_view_matches_shared_transform(self):
-        src = np.arange(8, dtype=float)
-        rng = np.random.default_rng(9)
-        a, b = make_positive_pair(src, TIERS["strong"], rng)
-        oracle_rng = np.random.default_rng(9)
-        np.testing.assert_array_equal(a, augment_vector(src, TIERS["strong"], oracle_rng))
-        np.testing.assert_array_equal(b, augment_vector(src, TIERS["weak"], oracle_rng))
-
-
 def _augment_drawing_every_op(x, tier, rng):
     """augment_batch as it was before ops of zero magnitude were skipped:
     every op draws and runs, whatever its magnitude."""
@@ -762,18 +752,6 @@ def _augment_drawing_every_op(x, tier, rng):
 
 
 class TestAugmentBatch:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(1, 40),
-        tier=st.sampled_from(["weak", "intermediate", "strong"]),
-    )
-    def test_single_row_equals_augment_vector(self, seed, dim, tier):
-        v = np.random.default_rng(seed).standard_normal(dim)
-        block = augment_batch(v[None, :], TIERS[tier], np.random.default_rng(seed))
-        single = augment_vector(v, TIERS[tier], np.random.default_rng(seed))
-        np.testing.assert_array_equal(block[0], single)
-
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -820,13 +798,6 @@ class TestAugmentBatch:
         acting.uniform(-weak.rotation_angle, weak.rotation_angle, (rows, dim // 4))
         assert rng.bit_generator.state == acting.bit_generator.state
         assert every_op.bit_generator.state != acting.bit_generator.state
-
-    def test_block_views_are_one_call_per_view(self):
-        block = np.random.default_rng(1).standard_normal((6, 8))
-        a, b = make_positive_pair(block, TIERS["strong"], np.random.default_rng(2))
-        oracle_rng = np.random.default_rng(2)
-        np.testing.assert_array_equal(a, augment_batch(block, TIERS["strong"], oracle_rng))
-        np.testing.assert_array_equal(b, augment_batch(block, TIERS["weak"], oracle_rng))
 
     def test_rejects_non_block_input(self):
         with pytest.raises(ValueError, match="block"):
@@ -942,6 +913,32 @@ class TestRunStage:
             np.testing.assert_array_equal(x[k:], views["weak"][1][at : at + k])
             at += k
         assert at == 2 * 70 and len(fed) == 2 * 18
+
+    @pytest.mark.parametrize("tier", ["strong", "intermediate", "none"])
+    def test_views_are_one_augment_batch_call_per_view(self, monkeypatch, tier):
+        # Each block of batches draws its tier-strength view, then a weak
+        # view of the same rows; tier "none" feeds the rows unaugmented.
+        real = copydet.train.augment_batch
+        calls = []  # (tier name, rows)
+
+        def recording(x, tier, rng):
+            calls.append((tier.name, x.copy()))
+            return real(x, tier, rng)
+
+        monkeypatch.setattr(copydet.train, "augment_batch", recording)
+        rng = substream(10, "train")
+        stage = StageConfig(index=1, tier=tier, epochs=2, batch_size=4)
+        run_stage(Encoder.init(8, 4, rng=rng), self._world(), stage, MemoryBank(64, 4), rng)
+
+        if tier == "none":
+            assert calls == []
+            return
+        block_rows = copydet.train._AUGMENT_BLOCK_BATCHES * stage.batch_size
+        assert len(calls) == 2 * stage.epochs * (64 // block_rows)
+        assert [name for name, _ in calls] == [tier, "weak"] * (len(calls) // 2)
+        for (_, first), (_, second) in zip(calls[::2], calls[1::2]):
+            assert first.shape == (block_rows, 8)
+            np.testing.assert_array_equal(first, second)
 
     def test_tier_none_batch_holds_each_item_once(self, monkeypatch):
         world = self._world()
