@@ -31,6 +31,7 @@ from .metrics import (
     GroundTruth,
     RankedMatches,
     build_candidates,
+    evaluate,
     micro_ap,
     read_gt_csv,
     read_matches_tsv,
@@ -89,6 +90,7 @@ __all__ = [
     "contrastive_loss",
     "default_stage_schedule",
     "encoder_loss_and_grads",
+    "evaluate",
     "gen_world",
     "get_tier",
     "load_world",

@@ -11,14 +11,7 @@ import sys
 from .datagen import TIER_NAMES, gen_world, load_world, write_world
 from .embedding import read_embeddings, write_embeddings
 from .errors import CopyDetError, FormatError
-from .metrics import (
-    build_candidates,
-    micro_ap,
-    read_gt_csv,
-    read_matches_tsv,
-    recall_at_precision,
-    write_matches_tsv,
-)
+from .metrics import build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
 from .pipeline import (
     POSTPROCESS_TARGETS,
     RunManifest,
@@ -84,19 +77,7 @@ def _cmd_search(args) -> int:
 def _cmd_eval(args) -> int:
     gt = read_gt_csv(args.gt)
     ranked = read_matches_tsv(args.pred)
-    # p as a percentage, never rounded to a whole one: 0.905 gives
-    # recall_at_p90.5. Twelve digits drop the float error of 0.9 * 100.
-    recall_key = f"recall_at_p{args.p * 100:.12g}"
-    print(
-        json.dumps(
-            {
-                "micro_ap": micro_ap(ranked, gt),
-                recall_key: recall_at_precision(ranked, gt, args.p),
-                "pairs": len(ranked),
-                "positives": gt.positives,
-            }
-        )
-    )
+    print(json.dumps({**evaluate(ranked, gt, args.p), "pairs": len(ranked), "positives": gt.positives}))
     return 0
 
 
@@ -110,7 +91,7 @@ def _manifest_from_args(args) -> RunManifest:
             d["stages"] = json.load(fh)
         if not isinstance(d["stages"], list):
             raise ValueError(f"{args.stages_file}: stage file must hold a JSON list")
-    return RunManifest(**d)
+    return RunManifest.from_dict(d)
 
 
 def _cmd_run(args) -> int:

@@ -196,6 +196,16 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
     return int(qualifying[-1]) / gt.positives if qualifying.size else 0.0
 
 
+def evaluate(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90) -> dict[str, float]:
+    """The score record of a ranking: micro-AP and recall at precision ``p``."""
+    # p as a percentage, never rounded to a whole one: 0.905 gives
+    # recall_at_p90.5. Twelve digits drop the float error of 0.9 * 100.
+    return {
+        "micro_ap": micro_ap(ranked, gt),
+        f"recall_at_p{p * 100:.12g}": recall_at_precision(ranked, gt, p),
+    }
+
+
 def build_candidates(
     queries: EmbeddingSet, references: EmbeddingSet, per_query_k: int = 1
 ) -> RankedMatches:

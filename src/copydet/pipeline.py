@@ -24,7 +24,7 @@ from .datagen import (
     write_world,
 )
 from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
-from .metrics import GroundTruth, build_candidates, micro_ap, recall_at_precision
+from .metrics import build_candidates, evaluate
 from .postprocess import NegSubConfig, subtract_negatives_batch
 from .train import (
     Encoder,
@@ -80,9 +80,9 @@ class RunManifest:
             )
         if self.world_tier not in TIER_NAMES:
             raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
-        for name in ("encoder_dim", "per_query_k"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0), ("bank_capacity", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.loss_config()
         self.negsub_config()
         self.stages = [
@@ -109,13 +109,6 @@ class RunManifest:
 
     def loss_config(self) -> LossConfig:
         return LossConfig(pos_margin=self.pos_margin, neg_margin=self.neg_margin)
-
-
-def _evaluate(
-    queries: EmbeddingSet, references: EmbeddingSet, gt: GroundTruth, per_query_k: int
-) -> tuple[float, float]:
-    ranked = build_candidates(queries, references, per_query_k)
-    return micro_ap(ranked, gt), recall_at_precision(ranked, gt, 0.90)
 
 
 @dataclass
@@ -145,7 +138,7 @@ def train_encoder(
     loss_cfg = manifest.loss_config()
     metrics: list[dict] = []
     for stage in manifest.stages:
-        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, manifest.momentum)[1])
+        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, manifest.momentum))
         if after_stage is not None:
             after_stage(encoder, stage, metrics[-1])
     return encoder, metrics
@@ -166,7 +159,6 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
 
     def evaluate_stage(encoder, stage, stage_metrics):
         queries, refs = encoder.encode_set(world.queries), encoder.encode_set(world.reference)
-        ap, r90 = _evaluate(queries, refs, world.gt, manifest.per_query_k)
         stage_rows.append(
             {
                 "stage": stage.index,
@@ -174,8 +166,7 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
                 "trained_with_reference": stage.include_reference_negatives,
                 "trained_with_gt": stage.include_gt_positives,
                 "post_process": False,
-                "micro_ap": ap,
-                "recall_at_p90": r90,
+                **evaluate(build_candidates(queries, refs, manifest.per_query_k), world.gt),
                 "mean_loss": stage_metrics["mean_loss"],
             }
         )
@@ -189,15 +180,14 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
 
 def _postprocess_eval(
     run: TrainedRun, negatives: EmbeddingSet, manifest: RunManifest
-) -> tuple[float, float, EmbeddingSet, EmbeddingSet]:
+) -> tuple[dict, EmbeddingSet, EmbeddingSet]:
     cfg = manifest.negsub_config()
     queries, refs = run.query_emb, run.ref_emb
     if manifest.postprocess_targets in ("queries", "both"):
         queries = subtract_negatives_batch(queries, negatives, cfg)
     if manifest.postprocess_targets in ("references", "both"):
         refs = subtract_negatives_batch(refs, negatives, cfg)
-    ap, r90 = _evaluate(queries, refs, run.world.gt, manifest.per_query_k)
-    return ap, r90, queries, refs
+    return evaluate(build_candidates(queries, refs, manifest.per_query_k), run.world.gt), queries, refs
 
 
 def reproduce_trend(manifest: RunManifest) -> dict:
@@ -215,7 +205,7 @@ def trend_report(run: TrainedRun, manifest: RunManifest) -> dict:
     ``run`` must come from :func:`train_and_embed` of a manifest that
     differs from ``manifest`` at most in ``out_dir``.
     """
-    post_ap, post_r90, post_q, post_r = _postprocess_eval(run, run.train_emb, manifest)
+    post, post_q, post_r = _postprocess_eval(run, run.train_emb, manifest)
 
     last = run.stage_rows[-1] if run.stage_rows else {
         "augmentation": None, "trained_with_reference": False, "trained_with_gt": False,
@@ -227,8 +217,7 @@ def trend_report(run: TrainedRun, manifest: RunManifest) -> dict:
             "trained_with_reference": last["trained_with_reference"],
             "trained_with_gt": last["trained_with_gt"],
             "post_process": True,
-            "micro_ap": post_ap,
-            "recall_at_p90": post_r90,
+            **post,
         }
     ]
     out = Path(manifest.out_dir)
@@ -259,20 +248,17 @@ def negative_swap(manifest: RunManifest) -> dict:
 def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
     """The negative-swap report of an already trained run, as for
     :func:`trend_report`."""
-    base_ap, base_r90 = _evaluate(run.query_emb, run.ref_emb, run.world.gt, manifest.per_query_k)
-
-    train_ap, train_r90, _, _ = _postprocess_eval(run, run.train_emb, manifest)
-
+    baseline = evaluate(build_candidates(run.query_emb, run.ref_emb, manifest.per_query_k), run.world.gt)
+    training, _, _ = _postprocess_eval(run, run.train_emb, manifest)
     twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.n_train, manifest.d_in))
-    twin_ap, twin_r90, _, _ = _postprocess_eval(run, twin_emb, manifest)
-
+    twin, _, _ = _postprocess_eval(run, twin_emb, manifest)
     return _write_report(
         "negative-swap", run, manifest,
-        baseline={"micro_ap": base_ap, "recall_at_p90": base_r90},
-        training_pool={"micro_ap": train_ap, "recall_at_p90": train_r90},
-        twin_pool={"micro_ap": twin_ap, "recall_at_p90": twin_r90},
-        pool_delta_micro_ap=train_ap - twin_ap,
-        postprocess_gain_micro_ap=train_ap - base_ap,
+        baseline=baseline,
+        training_pool=training,
+        twin_pool=twin,
+        pool_delta_micro_ap=training["micro_ap"] - twin["micro_ap"],
+        postprocess_gain_micro_ap=training["micro_ap"] - baseline["micro_ap"],
     )
 
 

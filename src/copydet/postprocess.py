@@ -100,7 +100,5 @@ def subtract_negatives_batch(
     a target depends only on that target and the pool. Errors carry the
     offending target id.
     """
-    if targets.dim != negatives.dim:
-        raise DimMismatch(f"targets dim {targets.dim} != negatives dim {negatives.dim}")
     rows = _subtract_rows(targets.matrix.astype(np.float64), negatives, cfg, targets.ids)
     return EmbeddingSet(targets.ids, rows.astype(np.float32), unit_norm=True)

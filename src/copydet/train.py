@@ -77,21 +77,14 @@ class MemoryBank:
         self._rows_t = np.zeros((dim, capacity), dtype=np.float64)
         self._sq = np.zeros(capacity, dtype=np.float64)
         self._labs = np.zeros(capacity, dtype=np.int64)
-        self._set_head(0)
-
-    def _set_head(self, head: int) -> None:
-        # The ring's names are views of the storage tail.
-        self._head = head
-        self._emb = self._rows[head:]
-        self._sq_norms = self._sq[head:]
-        self._labels = self._labs[head:]
+        self._head = 0
 
     def __len__(self) -> int:
         return self._size
 
     @property
     def dim(self) -> int:
-        return self._emb.shape[1]
+        return self._rows.shape[1]
 
     def push(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
         """Append entries in batch order, evicting FIFO past capacity."""
@@ -106,11 +99,11 @@ class MemoryBank:
         # Of a push longer than the ring, only the newest `capacity` rows survive.
         first = max(0, n - self.capacity)
         ring = max(self.capacity, 1)
-        slots = (self._cursor + np.arange(first, n)) % ring
-        self._emb[slots] = emb[first:]
-        self._rows_t[:, self._head + slots] = emb[first:].T
-        self._sq_norms[slots] = _sq_norms(emb[first:])
-        self._labels[slots] = labs[first:]
+        slots = self._head + (self._cursor + np.arange(first, n)) % ring
+        self._rows[slots] = emb[first:]
+        self._rows_t[:, slots] = emb[first:].T
+        self._sq[slots] = _sq_norms(emb[first:])
+        self._labs[slots] = labs[first:]
         self._cursor = (self._cursor + n) % ring
         self._size = min(self._size + n, self.capacity)
 
@@ -129,10 +122,10 @@ class MemoryBank:
             grown = b + self.capacity
             rows, rows_t = np.empty((grown, self.dim)), np.empty((self.dim, grown))
             sq, labs = np.empty(grown), np.empty(grown, dtype=np.int64)
-            rows[b:], rows_t[:, b:] = self._emb, self._rows_t[:, self._head :]
-            sq[b:], labs[b:] = self._sq_norms, self._labels
+            rows[b:], rows_t[:, b:] = self._rows[self._head :], self._rows_t[:, self._head :]
+            sq[b:], labs[b:] = self._sq[self._head :], self._labs[self._head :]
             self._rows, self._rows_t, self._sq, self._labs = rows, rows_t, sq, labs
-            self._set_head(b)
+            self._head = b
         lo, hi = self._head - b, self._head + self._size
         self._rows[lo : self._head] = embeddings
         self._rows_t[:, lo : self._head] = embeddings.T
@@ -517,8 +510,8 @@ def run_stage(
     rng: np.random.Generator,
     loss_cfg: LossConfig = LossConfig(),
     momentum: float = 0.9,
-) -> tuple[Encoder, dict]:
-    """Train one stage in place; returns the encoder and stage metrics.
+) -> dict:
+    """Train one stage of ``encoder`` in place; returns the stage metrics.
 
     Each epoch walks one permutation of the training items in batches.
     Every batch holds two augmented views per item, both labelled by the
@@ -581,7 +574,7 @@ def run_stage(
             bank.push(emb, y)
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-    return encoder, {
+    return {
         "stage": stage.index,
         "tier": stage.tier,
         "epochs": stage.epochs,

@@ -10,8 +10,9 @@ def bank_contents(bank):
     ``MemoryBank.with_batch()``, which reads the occupied slots in storage
     order.
     """
+    rows, labels = bank._rows[bank._head :], bank._labs[bank._head :]
     size = len(bank)
     if size < bank.capacity:
-        return bank._emb[:size].copy(), bank._labels[:size].copy()
+        return rows[:size].copy(), labels[:size].copy()
     idx = (np.arange(bank.capacity) + bank._cursor) % bank.capacity
-    return bank._emb[idx], bank._labels[idx]
+    return rows[idx], labels[idx]

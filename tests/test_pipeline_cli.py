@@ -146,7 +146,7 @@ class TestReproduceTrend:
         assert report["rows"][-1]["micro_ap"] == 1.0
 
     @pytest.mark.parametrize("targets", POSTPROCESS_TARGETS)
-    def test_post_files_hold_what_the_post_row_ranked(self, tmp_path, targets):
+    def test_post_files_hold_what_the_post_row_ranked(self, tmp_path, capsys, targets):
         manifest = tiny_manifest(tmp_path / "run", postprocess_targets=targets)
         report = reproduce_trend(manifest)
         emb = tmp_path / "run" / "embeddings"
@@ -154,8 +154,19 @@ class TestReproduceTrend:
             read_embeddings(emb / "queries_post.emb"), read_embeddings(emb / "reference_post.emb"),
             manifest.per_query_k,
         )
-        gt = read_gt_csv(tmp_path / "run" / "world" / "gt.csv")
-        assert micro_ap(ranked, gt) == report["rows"][-1]["micro_ap"]
+        gt_path = tmp_path / "run" / "world" / "gt.csv"
+        assert micro_ap(ranked, read_gt_csv(gt_path)) == report["rows"][-1]["micro_ap"]
+        # The CLI's search and eval on the same files print the post row's record.
+        matches = tmp_path / "matches.tsv"
+        assert main([
+            "search", "--queries", str(emb / "queries_post.emb"), "--db", str(emb / "reference_post.emb"),
+            "--k", str(manifest.per_query_k), "--out", str(matches),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(gt_path), "--pred", str(matches)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        for key in ("micro_ap", "recall_at_p90"):
+            assert printed[key] == report["rows"][-1][key]
         # An untargeted side is ranked, and written, unprocessed.
         for side, target in [("queries", "queries"), ("reference", "references")]:
             same = (emb / f"{side}_post.emb").read_bytes() == (emb / f"{side}.emb").read_bytes()
@@ -173,9 +184,9 @@ class TestNegativeSwap:
     def test_identical_pools_zero_difference(self, tmp_path):
         manifest = tiny_manifest(tmp_path / "run")
         run = train_and_embed(manifest)
-        ap_a, _, _, _ = _postprocess_eval(run, run.train_emb, manifest)
-        ap_b, _, _, _ = _postprocess_eval(run, run.train_emb, manifest)
-        assert ap_a == ap_b
+        record_a, _, _ = _postprocess_eval(run, run.train_emb, manifest)
+        record_b, _, _ = _postprocess_eval(run, run.train_emb, manifest)
+        assert record_a == record_b
 
     def test_report_fields(self, tmp_path):
         manifest = tiny_manifest(tmp_path / "run")
@@ -203,6 +214,8 @@ _INVALID_SETTINGS = [
     (["reproduce-trend", "--dim", "0"], "d_in must be >= 1, got 0"),
     (["reproduce-trend", "--copy-rate", "1.5"], "copy_rate must be in [0, 1], got 1.5"),
     (["train", "--dim", "0"], "encoder_dim must be >= 1, got 0"),
+    (["train", "--hidden", "-3"], "encoder_hidden must be >= 0, got -3"),
+    (["reproduce-trend", "--bank-capacity", "-1"], "bank_capacity must be >= 0, got -1"),
     (["reproduce-trend", "--copy-rate", "0"],
      "copy_rate 0.0 of n_query 1024 gives 0 copy queries; a run needs at least 1"),
     (["negative-swap", "--n-query", "32", "--copy-rate", "0.01"],
@@ -567,7 +580,7 @@ class TestCli:
             "--out", str(tmp_path / "enc.bin"), "--hidden", "-3",
         ])
         assert rc == 1
-        assert capsys.readouterr().err == "copydet: hidden width must be >= 0, got -3\n"
+        assert capsys.readouterr().err == "copydet: encoder_hidden must be >= 0, got -3\n"
         assert not (tmp_path / "enc.bin").exists()
 
     def test_train_defaults_are_the_manifest_defaults(self, tmp_path, capsys):
@@ -667,7 +680,7 @@ class TestCli:
         assert rc == code
         if code:
             err = capsys.readouterr().err
-            assert err == "copydet: capacity must be >= 0, got -1\n" * 2
+            assert err == "copydet: bank_capacity must be >= 0, got -1\n" * 2
         else:
             assert (tmp_path / "enc.bin").exists()
             manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())

@@ -106,10 +106,16 @@ class TestSubtractNegatives:
         with pytest.raises(ZeroVector):
             subtract_negatives(np.array([1.0, 0.0]), negs, NegSubConfig(n=1, k=1, beta=1.0))
 
-    def test_dim_mismatch(self):
-        negs = unit_set(np.random.default_rng(0), 5, 4)
-        with pytest.raises(DimMismatch):
-            subtract_negatives(np.zeros(3), negs, NegSubConfig())
+    @pytest.mark.parametrize("entry", ["subtract_negatives", "subtract_negatives_batch"])
+    def test_dim_mismatch(self, entry):
+        # Both entry points share _subtract_rows's one check.
+        rng = np.random.default_rng(0)
+        negs = unit_set(rng, 5, 4)
+        with pytest.raises(DimMismatch, match="dim 3 != negatives dim 4"):
+            if entry == "subtract_negatives":
+                subtract_negatives(np.ones(3), negs, NegSubConfig())
+            else:
+                subtract_negatives_batch(unit_set(rng, 2, 3, prefix="t"), negs, NegSubConfig())
 
 
 class TestSubtractNegativesBatch:

@@ -824,7 +824,7 @@ class TestRunStage:
             rng = substream(3, "train")
             enc = Encoder.init(8, 4, rng=rng)
             bank = MemoryBank(64, 4)
-            _, metrics = run_stage(
+            metrics = run_stage(
                 enc, world, StageConfig(index=1, tier="weak", epochs=1, lr=0.1), bank, rng
             )
             return enc, metrics
