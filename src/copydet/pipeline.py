@@ -80,7 +80,9 @@ class RunManifest:
             )
         if self.world_tier not in TIER_NAMES:
             raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
-        for name, low in (("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0), ("bank_capacity", 0)):
+        for name, low in (
+            ("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0), ("bank_capacity", 0)
+        ):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.loss_config()

@@ -63,8 +63,8 @@ class MemoryBank:
     The ring of embeddings, squared norms and labels sits in the tail of
     larger arrays whose head holds the batch of the current loss call, so
     :func:`contrastive_loss` reads [batch; bank] as one view without
-    copying the bank. A C-contiguous transpose of the embedding array is
-    kept beside it for the distance gemm.
+    copying the bank. The entries are held once, row-major; the distance
+    gemm reads their transpose as a view.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -74,7 +74,6 @@ class MemoryBank:
         self._size = 0
         self._cursor = 0
         self._rows = np.zeros((capacity, dim), dtype=np.float64)
-        self._rows_t = np.zeros((dim, capacity), dtype=np.float64)
         self._sq = np.zeros(capacity, dtype=np.float64)
         self._labs = np.zeros(capacity, dtype=np.int64)
         self._head = 0
@@ -101,7 +100,6 @@ class MemoryBank:
         ring = max(self.capacity, 1)
         slots = self._head + (self._cursor + np.arange(first, n)) % ring
         self._rows[slots] = emb[first:]
-        self._rows_t[:, slots] = emb[first:].T
         self._sq[slots] = _sq_norms(emb[first:])
         self._labs[slots] = labs[first:]
         self._cursor = (self._cursor + n) % ring
@@ -109,9 +107,8 @@ class MemoryBank:
 
     def with_batch(
         self, embeddings: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """[batch; live entries] as views: rows, their (dim, b + m)
-        transpose, squared norms and labels.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """[batch; live entries] as views: rows, squared norms and labels.
 
         The batch is written into the head, just before the ring; the ring
         is not touched. A batch larger than the head grows it, copying the
@@ -120,18 +117,15 @@ class MemoryBank:
         b = embeddings.shape[0]
         if b > self._head:
             grown = b + self.capacity
-            rows, rows_t = np.empty((grown, self.dim)), np.empty((self.dim, grown))
-            sq, labs = np.empty(grown), np.empty(grown, dtype=np.int64)
-            rows[b:], rows_t[:, b:] = self._rows[self._head :], self._rows_t[:, self._head :]
-            sq[b:], labs[b:] = self._sq[self._head :], self._labs[self._head :]
-            self._rows, self._rows_t, self._sq, self._labs = rows, rows_t, sq, labs
+            rows, sq, labs = np.empty((grown, self.dim)), np.empty(grown), np.empty(grown, dtype=np.int64)
+            rows[b:], sq[b:], labs[b:] = self._rows[self._head :], self._sq[self._head :], self._labs[self._head :]
+            self._rows, self._sq, self._labs = rows, sq, labs
             self._head = b
         lo, hi = self._head - b, self._head + self._size
         self._rows[lo : self._head] = embeddings
-        self._rows_t[:, lo : self._head] = embeddings.T
         self._sq[lo : self._head] = _sq_norms(embeddings)
         self._labs[lo : self._head] = labels
-        return self._rows[lo:hi], self._rows_t[:, lo:hi], self._sq[lo:hi], self._labs[lo:hi]
+        return self._rows[lo:hi], self._sq[lo:hi], self._labs[lo:hi]
 
 
 def _sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -172,7 +166,7 @@ def contrastive_loss(
     num_pairs = b * (b - 1) // 2 + b * m
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
-    X, XT, sq, X_labs = bank.with_batch(E, labs)
+    X, sq, X_labs = bank.with_batch(E, labs)
     # The candidate bound below holds for finite rows only.
     if not np.isfinite(sq).all():
         raise NonFiniteValue("non-finite embedding in the loss")
@@ -194,11 +188,12 @@ def contrastive_loss(
     same = r * n + c
     positives = same[r != c]
 
-    # One gemm against [batch; bank]: g = -2 e.x (-2E is exact), and the
-    # squared distance of a pair is (g + |e|^2) + |x|^2, the true Euclidean
-    # one rather than the unit-sphere shortcut, so the gradients stay exact
-    # for off-sphere probe points.
-    g = np.matmul(-2.0 * E, XT)
+    # One gemm against the transpose of [batch; bank], read as a view:
+    # g = -2 e.x (-2E is exact), and the squared distance of a pair is
+    # (g + |e|^2) + |x|^2, the true Euclidean one rather than the
+    # unit-sphere shortcut, so the gradients stay exact for off-sphere
+    # probe points.
+    g = np.matmul(-2.0 * E, X.T)
 
     # Negative candidates in one threshold pass: d^2 < neg_margin^2 implies
     # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
@@ -213,6 +208,8 @@ def contrastive_loss(
     rows, cols = np.divmod(pairs, n)
     dist = g.reshape(-1)[pairs] + sq[rows]
     dist += sq[cols]
+    # The b x (b + m) block and mask are spent; free them before the gradient.
+    del g, mask
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     hinge = cfg.neg_margin - dist
@@ -249,7 +246,7 @@ def sgd_momentum_step(
     grads: list[np.ndarray],
     state: list[np.ndarray] | None,
     lr: float,
-    momentum: float = 0.9,
+    momentum: float,
 ) -> list[np.ndarray]:
     """Classic momentum update in place: v <- momentum*v + g; p <- p - lr*v.
 
@@ -508,8 +505,8 @@ def run_stage(
     stage: StageConfig,
     bank: MemoryBank,
     rng: np.random.Generator,
-    loss_cfg: LossConfig = LossConfig(),
-    momentum: float = 0.9,
+    loss_cfg: LossConfig,
+    momentum: float,
 ) -> dict:
     """Train one stage of ``encoder`` in place; returns the stage metrics.
 
@@ -525,11 +522,12 @@ def run_stage(
     order, so a run does not depend on the order of ``gt.csv``; reference
     and query rows are never augmented. After each optimizer step the batch
     embeddings are pushed into the bank.
+
+    The world's float32 matrices are not widened as a whole: each block and
+    batch widens only the rows it takes (float32 to float64 is exact).
     """
     tier = get_tier(stage.tier)
-    train_raw = world.training.matrix.astype(np.float64)
-    ref_raw = world.reference.matrix.astype(np.float64)
-    query_raw = world.queries.matrix.astype(np.float64)
+    train_raw, ref_raw, query_raw = world.training.matrix, world.reference.matrix, world.queries.matrix
     n_train, n_ref = train_raw.shape[0], ref_raw.shape[0]
     qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
     rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
@@ -544,7 +542,7 @@ def run_stage(
         for batch, start in enumerate(range(0, n_train, stage.batch_size)):
             offset = start % block_rows
             if offset == 0:
-                block = train_raw[order[start : start + block_rows]]
+                block = train_raw[order[start : start + block_rows]].astype(np.float64)
                 if tier.name == "none":
                     views = (block,)
                 else:
@@ -561,7 +559,7 @@ def run_stage(
                 qi, ri = gt_idx[picks].T
                 blocks += [query_raw[qi], ref_raw[ri]]
                 labels += [n_train + ri, n_train + ri]
-            x, y = np.concatenate(blocks), np.concatenate(labels)
+            x, y = np.concatenate(blocks, dtype=np.float64), np.concatenate(labels)
             try:
                 loss, grads, emb = encoder_loss_and_grads(encoder, x, y, bank, loss_cfg)
                 if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):

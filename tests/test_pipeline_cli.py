@@ -617,6 +617,18 @@ class TestCli:
         assert capsys.readouterr().err == "copydet: seed must be >= 0, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_train_negative_seed_exit_1_before_world(self, tmp_path, capsys, monkeypatch):
+        # _INVALID_SETTINGS appends --seed 1, so the seed has a test of its own.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a world was loaded")
+
+        monkeypatch.setattr("copydet.cli.load_world", unreachable)
+        out = tmp_path / "encoder.bin"
+        rc = main(["train", "--world", str(tmp_path / "world"), "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_non_finite_step_exit_1(self, tmp_path, capsys):
         stage = dict(index=1, tier="weak", epochs=1, lr=1e308, batch_size=16)
         rc = self._trend_with_stages(tmp_path, [stage])

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from copydet import (
     StageConfig,
     augment_batch,
     contrastive_loss,
+    default_stage_schedule,
     encoder_loss_and_grads,
     gen_world,
     run_stage,
@@ -147,12 +149,22 @@ def dyadic_rows(rng, count, dim):
     return rng.integers(-8, 9, size=(count, dim)) / 8.0
 
 
+# Bank state: (capacity, rows pushed before the loss call); None is no bank.
+_BANK_STATES = {
+    "none": None,
+    "empty": (12, 0),
+    "partial": (12, 6),
+    "wrapped": (12, 27),
+    "wrapped_20000": (20000, 40003),
+}
+
+
 class TestFusedLossMatchesReference:
-    @pytest.mark.parametrize("bank_state", ["none", "empty", "partial", "wrapped"])
+    @pytest.mark.parametrize("bank_state", list(_BANK_STATES))
     @pytest.mark.parametrize("duplicates", ["none", "same_label", "other_label", "bank_row"])
     def test_random_cases_within_1e_12(self, bank_state, duplicates):
-        rng = np.random.default_rng(["none", "empty", "partial", "wrapped"].index(bank_state))
-        capacity, dim = 12, 5
+        rng = np.random.default_rng(list(_BANK_STATES).index(bank_state))
+        dim = 5
         for trial in range(25):
             b = 1 if trial % 5 == 0 else int(rng.integers(2, 10))
             draw = unit_rows if duplicates == "none" else dyadic_rows
@@ -161,10 +173,10 @@ class TestFusedLossMatchesReference:
                 emb = emb * (rng.integers(2, 25, size=(b, 1)) / 8.0)  # off the sphere
             labels = rng.integers(0, 4, size=b)
             bank = None
-            if bank_state != "none":
+            if _BANK_STATES[bank_state] is not None:
+                capacity, fill = _BANK_STATES[bank_state]
                 bank = MemoryBank(capacity, dim)
-                fill = {"empty": 0, "partial": capacity // 2, "wrapped": 2 * capacity + 3}
-                for chunk in np.array_split(np.arange(fill[bank_state]), 3):
+                for chunk in np.array_split(np.arange(fill), 3):
                     if len(chunk):
                         bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
             if duplicates in ("same_label", "other_label") and b > 1:
@@ -454,12 +466,11 @@ class TestMemoryBank:
             # label l sits in slot l % capacity.
             batch_labels = -1 - np.arange(size)
             batch = batch_labels[:, None] * np.array([0.25, 2.0])
-            rows, rows_t, sq, labs = bank.with_batch(batch, batch_labels)
+            rows, sq, labs = bank.with_batch(batch, batch_labels)
             ring = sorted(expected, key=lambda l: l % capacity)
             assert labs.tolist() == batch_labels.tolist() + ring
             np.testing.assert_array_equal(rows[:size], batch)
             np.testing.assert_array_equal(rows[size:], np.array(ring)[:, None] * np.array([1.0, -0.5]))
-            np.testing.assert_array_equal(rows_t, rows.T)
             np.testing.assert_array_equal(sq, np.einsum("ij,ij->i", rows, rows))
             after = bank_contents(bank)
             np.testing.assert_array_equal(after[0], emb)
@@ -472,11 +483,28 @@ class TestMemoryBank:
             assert len(bank) == 0
             # [batch; bank] is the batch alone.
             batch = np.arange(6.0).reshape(2, 3)
-            rows, rows_t, sq, labels = bank.with_batch(batch, np.array([7, 8]))
+            rows, sq, labels = bank.with_batch(batch, np.array([7, 8]))
             np.testing.assert_array_equal(rows, batch)
-            np.testing.assert_array_equal(rows_t, batch.T)
             np.testing.assert_array_equal(sq, [5.0, 50.0])
             np.testing.assert_array_equal(labels, [7, 8])
+
+    def test_bank_of_20000_holds_its_entries_once(self):
+        # One float64 copy of the entries, beside squared norms and labels,
+        # after a loss call has grown the head: the distance gemm reads the
+        # transpose as a view, so no second copy is kept for it.
+        rng = np.random.default_rng(20)
+        rows, labels = unit_rows(rng, 20000, 32), rng.integers(0, 4000, size=20000)
+        batch = unit_rows(rng, 64, 32)
+        tracemalloc.start()
+        try:
+            bank = MemoryBank(20000, 32)
+            bank.push(rows, labels)
+            bank.with_batch(batch, np.arange(64))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(bank) == 20000
+        assert held < 2 * rows.nbytes
 
     def test_negative_capacity_raises(self):
         with pytest.raises(ValueError, match="capacity must be >= 0"):
@@ -531,7 +559,7 @@ class TestMemoryBank:
 class TestSgdMomentum:
     def test_first_step(self):
         p = [np.array([1.0])]
-        state = sgd_momentum_step(p, [np.array([1.0])], None, lr=0.1)
+        state = sgd_momentum_step(p, [np.array([1.0])], None, lr=0.1, momentum=0.9)
         np.testing.assert_allclose(p[0], [0.9])
         np.testing.assert_allclose(state[0], [1.0])
 
@@ -552,7 +580,7 @@ class TestSgdMomentum:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            sgd_momentum_step([np.zeros(2)], [np.zeros(3)], None, lr=0.1)
+            sgd_momentum_step([np.zeros(2)], [np.zeros(3)], None, lr=0.1, momentum=0.9)
 
 
 class TestEncoder:
@@ -813,7 +841,8 @@ class TestRunStage:
         enc = Encoder.init(8, 4, rng=substream(0, "train"))
         before = [p.copy() for p in enc.params()]
         bank = MemoryBank(64, 4)
-        run_stage(enc, world, StageConfig(index=1, tier="weak", epochs=0), bank, substream(0, "train"))
+        stage = StageConfig(index=1, tier="weak", epochs=0)
+        run_stage(enc, world, stage, bank, substream(0, "train"), LossConfig(), 0.9)
         for b, p in zip(before, enc.params()):
             np.testing.assert_array_equal(b, p)
 
@@ -825,7 +854,7 @@ class TestRunStage:
             enc = Encoder.init(8, 4, rng=rng)
             bank = MemoryBank(64, 4)
             metrics = run_stage(
-                enc, world, StageConfig(index=1, tier="weak", epochs=1, lr=0.1), bank, rng
+                enc, world, StageConfig(index=1, tier="weak", epochs=1, lr=0.1), bank, rng, LossConfig(), 0.9
             )
             return enc, metrics
 
@@ -835,12 +864,33 @@ class TestRunStage:
         for pa, pb in zip(enc_a.params(), enc_b.params()):
             np.testing.assert_array_equal(pa, pb)
 
+    def test_default_stage_3_peaks_below_4_mib(self):
+        # A default-size world is 2.25 MiB of float32 rows, 4.5 MiB widened
+        # to float64. The stage widens only the rows of one block or batch,
+        # the bank holds one copy of its entries, and the loss frees its
+        # b x (b + m) distance block before the gradient.
+        world = gen_world(seed=3, n_train=4096, n_ref=4096, n_query=1024, d_in=64)
+        rng = substream(3, "train")
+        enc = Encoder.init(64, 32, rng=rng)
+        bank = MemoryBank(2048, 32)
+        bank.push(unit_rows(rng, 2048, 32), rng.integers(0, 4096, size=2048))
+        stage = default_stage_schedule()[2]
+        assert stage.index == 3 and stage.include_reference_negatives
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_stage(enc, world, stage, bank, rng, LossConfig(), 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * 2**20
+
     def test_bank_fills_during_stage(self):
         world = self._world()
         rng = substream(4, "train")
         enc = Encoder.init(8, 4, rng=rng)
         bank = MemoryBank(2048, 4)
-        run_stage(enc, world, StageConfig(index=1, tier="weak", epochs=1), bank, rng)
+        run_stage(enc, world, StageConfig(index=1, tier="weak", epochs=1), bank, rng, LossConfig(), 0.9)
         assert len(bank) == 2 * 64  # two views per training item
 
     def test_non_finite_step_names_stage_epoch_batch(self, monkeypatch):
@@ -860,7 +910,7 @@ class TestRunStage:
         monkeypatch.setattr(copydet.train, "encoder_loss_and_grads", poisoned)
         stage = StageConfig(index=2, tier="weak", epochs=1, batch_size=16)
         with pytest.raises(NonFiniteValue, match="stage 2, epoch 1, batch 3: non-finite loss or gradient"):
-            run_stage(enc, world, stage, MemoryBank(64, 4), rng)
+            run_stage(enc, world, stage, MemoryBank(64, 4), rng, LossConfig(), 0.9)
 
     @staticmethod
     def _record_losses(monkeypatch):
@@ -893,7 +943,7 @@ class TestRunStage:
         fed = self._record_losses(monkeypatch)
         rng = substream(8, "train")
         stage = StageConfig(index=3, tier="strong", epochs=2, batch_size=4)
-        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng)
+        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng, LossConfig(), 0.9)
 
         block_rows = copydet.train._AUGMENT_BLOCK_BATCHES * stage.batch_size
         assert len(calls) == 2 * stage.epochs * -(-70 // block_rows)
@@ -928,7 +978,7 @@ class TestRunStage:
         monkeypatch.setattr(copydet.train, "augment_batch", recording)
         rng = substream(10, "train")
         stage = StageConfig(index=1, tier=tier, epochs=2, batch_size=4)
-        run_stage(Encoder.init(8, 4, rng=rng), self._world(), stage, MemoryBank(64, 4), rng)
+        run_stage(Encoder.init(8, 4, rng=rng), self._world(), stage, MemoryBank(64, 4), rng, LossConfig(), 0.9)
 
         if tier == "none":
             assert calls == []
@@ -954,7 +1004,7 @@ class TestRunStage:
             include_gt_positives=True, epochs=2, batch_size=16,
             ref_per_batch=4, gt_per_batch=2,
         )
-        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng)
+        run_stage(Encoder.init(8, 4, rng=rng), world, stage, MemoryBank(64, 4), rng, LossConfig(), 0.9)
 
         assert len(fed) == 2 * 4
         for epoch in range(2):
@@ -985,7 +1035,7 @@ class TestRunStage:
             include_gt_positives=True, epochs=1, batch_size=16,
             ref_per_batch=4, gt_per_batch=2,
         )
-        run_stage(enc, world, stage, bank, rng)
+        run_stage(enc, world, stage, bank, rng, LossConfig(), 0.9)
         # 4 batches of 16 items (one view at tier "none") + 4 refs + 2*2 gt
         # rows each.
         assert len(bank) == 4 * (16 + 4 + 4)
