@@ -9,7 +9,7 @@ import json
 import sys
 
 from .datagen import TIER_NAMES, gen_world, load_world, write_world
-from .embedding import read_embeddings, write_embeddings
+from .embedding import read_embeddings, read_text, write_embeddings
 from .errors import CopyDetError, FormatError
 from .metrics import build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
 from .pipeline import (
@@ -87,8 +87,10 @@ def _manifest_from_args(args) -> RunManifest:
     d = RunManifest(seed=args.seed, out_dir="").to_dict()
     d.update(_given(args, d))
     if args.stages_file is not None:
-        with open(args.stages_file, encoding="utf-8") as fh:
-            d["stages"] = json.load(fh)
+        try:
+            d["stages"] = json.loads(read_text(args.stages_file))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{args.stages_file}: not JSON ({exc})") from exc
         if not isinstance(d["stages"], list):
             raise ValueError(f"{args.stages_file}: stage file must hold a JSON list")
     return RunManifest.from_dict(d)

@@ -71,6 +71,14 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; any other bytes are a FormatError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Immutable ordered set of vectors with string ids.
@@ -185,10 +193,7 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     ids_file = _ids_path(path)
     if not ids_file.exists():
         raise FormatError(f"{ids_file}: id sidecar missing")
-    try:
-        text = ids_file.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{ids_file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    text = read_text(ids_file)
     # Every id line ends in a newline, so a truncated sidecar either loses
     # a line or its final newline.
     if text and not text.endswith("\n"):

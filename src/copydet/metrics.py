@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingSet, write_bytes_atomic
+from .embedding import EmbeddingSet, read_text, write_bytes_atomic
 from .errors import EmptyGroundTruth, FormatError
 from .search import topk_batch
 
@@ -60,18 +60,17 @@ def read_gt_csv(path: str | Path) -> GroundTruth:
     """Ground truth from a CSV written by :func:`write_gt_csv`; a repeated
     pair or a row of the wrong width is a FormatError naming its line."""
     pairs: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _GT_HEADER:
-            raise FormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if len(row) != 2:
-                raise FormatError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-            pair = (row[0], row[1])
-            if pair in pairs:
-                raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
-            pairs.add(pair)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header != _GT_HEADER:
+        raise FormatError(f"{path}: unexpected header {header}")
+    for row in reader:
+        if len(row) != 2:
+            raise FormatError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+        pair = (row[0], row[1])
+        if pair in pairs:
+            raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
+        pairs.add(pair)
     return GroundTruth(frozenset(pairs))
 
 
@@ -237,7 +236,7 @@ def read_matches_tsv(path: str | Path) -> RankedMatches:
     """Read a matches TSV and re-sort it into the global ranking order."""
     path = Path(path)
     cands: list[Candidate] = []
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(read_text(path).splitlines(), start=1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}:{ln}: expected 3 tab-separated fields")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import ZERO_NORM, EmbeddingSet
 from .errors import DimMismatch, ZeroVector
-from .search import row_blocks, select_topk, transposed64
+from .search import topk_rows
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,13 @@ class NegSubConfig:
 def _subtract_rows(
     y: np.ndarray, negatives: EmbeddingSet, cfg: NegSubConfig, ids=None
 ) -> np.ndarray:
-    """Run the iterations in place on the float64 rows of ``y``, block by block.
+    """Run the iterations in place on the float64 rows of ``y``.
 
-    Per iteration and block: one gemm against the pool, one top-k selection,
-    one gather of the k scaled neighbours, then the k subtractions in rank
-    order, so each row sees the same float sequence as a one-row run. The
-    neighbours come from the float32 pool; widening to float64 is exact.
-    ``ids`` name the rows in errors.
+    Per iteration: one ``topk_rows`` query of every row against the pool,
+    then the k subtractions in rank order, each a gather of one scaled
+    neighbour per row, so each row sees the same float sequence as a
+    one-row run. ``ids`` name the rows in errors: the first row annihilated,
+    in the first iteration that annihilates any.
     """
     if y.shape[1] != negatives.dim:
         raise DimMismatch(f"descriptor dim {y.shape[1]} != negatives dim {negatives.dim}")
@@ -51,26 +51,21 @@ def _subtract_rows(
         return y
     if negatives.count < 1:
         raise ValueError("negatives set is empty")
-    neg_t = transposed64(negatives.matrix)
-    # Pools smaller than k under-subtract: the scale stays beta / requested k.
-    scale = cfg.beta / cfg.k
-    m = min(cfg.k, negatives.count)
-    for block in row_blocks(y.shape[0], negatives.count):
-        rows = y[block]
-        for _ in range(cfg.n):
-            idx = select_topk(rows @ neg_t, m)
-            scaled = negatives.matrix.take(idx, axis=0).astype(np.float64)
-            scaled *= scale
-            for j in range(m):
-                rows -= scaled[:, j]
-            norms = np.linalg.norm(rows, axis=1)
-            bad = np.flatnonzero(norms < ZERO_NORM)
-            if bad.size:
-                msg = f"subtraction annihilated the descriptor (norm {norms[bad[0]]:.3e})"
-                if ids is not None:
-                    msg = f"target {ids[block.start + bad[0]]!r}: {msg}"
-                raise ZeroVector(msg)
-            rows /= norms[:, None]
+    # Widened once (exactly) and scaled once. Pools smaller than k
+    # under-subtract: the scale stays beta / requested k.
+    scaled = np.multiply(negatives.matrix, cfg.beta / cfg.k, dtype=np.float64)
+    for _ in range(cfg.n):
+        idx = topk_rows(y, negatives, cfg.k)[0]
+        for rank in idx.T:
+            y -= scaled[rank]
+        norms = np.linalg.norm(y, axis=1)
+        bad = np.flatnonzero(norms < ZERO_NORM)
+        if bad.size:
+            msg = f"subtraction annihilated the descriptor (norm {norms[bad[0]]:.3e})"
+            if ids is not None:
+                msg = f"target {ids[bad[0]]!r}: {msg}"
+            raise ZeroVector(msg)
+        y /= norms[:, None]
     return y
 
 

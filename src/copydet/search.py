@@ -31,15 +31,6 @@ def row_blocks(rows: int, n: int) -> Iterator[slice]:
         yield slice(start, min(start + step, rows))
 
 
-def transposed64(matrix: np.ndarray) -> np.ndarray:
-    """C-contiguous float64 transpose of ``matrix``, shape (dim, count).
-
-    Every score block is ``rows @ transposed64(db)``: a plain gemm on
-    contiguous operands takes BLAS's fast no-transpose path.
-    """
-    return np.ascontiguousarray(matrix.T, dtype=np.float64)
-
-
 def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     """Column indices of each row's ``m`` largest scores, shape (B, m).
 
@@ -72,20 +63,24 @@ def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
     return cols[order[first[:, None] + np.arange(m)]]
 
 
-def _topk_matrix(queries: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+def topk_rows(rows: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row :func:`topk` of float64 ``rows``, for search and post-process alike."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if queries.shape[1] != db.dim:
-        raise DimMismatch(f"query dim {queries.shape[1]} != db dim {db.dim}")
+    if rows.shape[1] != db.dim:
+        raise DimMismatch(f"query dim {rows.shape[1]} != db dim {db.dim}")
     m = min(k, db.count)
-    idx, top = np.empty((queries.shape[0], m), dtype=np.int64), np.empty((queries.shape[0], m))
-    # select_topk needs m >= 1; with no queries row_blocks yields nothing.
+    idx, top = np.empty((rows.shape[0], m), dtype=np.int64), np.empty((rows.shape[0], m))
+    # select_topk needs m >= 1; with no rows row_blocks yields nothing.
     if m:
-        db_t = transposed64(db.matrix)
-        for block in row_blocks(queries.shape[0], db.count):
-            scores = queries[block] @ db_t
+        # Contiguous operands take BLAS's fast no-transpose gemm path.
+        db_t = np.ascontiguousarray(db.matrix.T, dtype=np.float64)
+        for block in row_blocks(rows.shape[0], db.count):
+            scores = rows[block] @ db_t
             idx[block] = select_topk(scores, m)
             top[block] = np.take_along_axis(scores, idx[block], axis=1)
+            # Freed before the next gemm, so one score block is alive at a time.
+            del scores
     return idx, top
 
 
@@ -98,10 +93,10 @@ def topk(query: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.nd
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1:
         raise DimMismatch(f"expected a 1-d query, got shape {q.shape}")
-    idx, top = _topk_matrix(q[None, :], db, k)
+    idx, top = topk_rows(q[None, :], db, k)
     return idx[0], top[0]
 
 
 def topk_batch(queries: EmbeddingSet, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-query :func:`topk` over a query set: (queries.count, min(k, db.count)) arrays."""
-    return _topk_matrix(queries.matrix.astype(np.float64), db, k)
+    return topk_rows(queries.matrix.astype(np.float64), db, k)

@@ -227,6 +227,43 @@ _INVALID_SETTINGS = [
 ]
 
 
+# Reader error paths: files written into a directory that also holds a
+# 64/64/32 dim-8 world in world/, the argv run there, its exit code and
+# its whole stderr after "copydet: ".
+_ISCW_TRAILING = b"ISCW" + struct.pack("<IIII", 1, 1, 8, 4) + bytes(4 * (8 * 4 + 4)) + bytes(4)
+_EVAL_TSV = ["eval", "--gt", "world/gt.csv", "--pred", "m.tsv"]
+_TRAIN = ["train", "--world", "world", "--seed", "7", "--out", "e.bin"]
+_READER_ERRORS = [
+    pytest.param({"m.tsv": b"q1\tr1\t0.5\nq1\tr2\n"}, _EVAL_TSV, 2,
+                 "m.tsv:2: expected 3 tab-separated fields", id="tsv-two-fields"),
+    pytest.param({"m.tsv": b"q1\tr1\tabc\n"}, _EVAL_TSV, 2,
+                 "m.tsv:1: bad score 'abc'", id="tsv-bad-score"),
+    pytest.param({"m.tsv": b"q1\tr1\t0.5\nq1\tr1\t0.25\n"}, _EVAL_TSV, 2,
+                 "m.tsv: duplicate candidate pair ('q1', 'r1')", id="tsv-repeated-pair"),
+    pytest.param({"m.tsv": b"q1\tr1\t0.5\xff\n"}, _EVAL_TSV, 2,
+                 "m.tsv: not UTF-8 text (invalid start byte at byte 9)", id="tsv-not-utf8"),
+    pytest.param({"gt.csv": b"q,r\nq1,r1\n", "m.tsv": b""},
+                 ["eval", "--gt", "gt.csv", "--pred", "m.tsv"], 2,
+                 "gt.csv: unexpected header ['q', 'r']", id="gt-header"),
+    pytest.param({"gt.csv": b"query_id,reference_id\nQ\xff,R1\n", "m.tsv": b""},
+                 ["eval", "--gt", "gt.csv", "--pred", "m.tsv"], 2,
+                 "gt.csv: not UTF-8 text (invalid start byte at byte 23)", id="gt-not-utf8"),
+    pytest.param({"world/gt.csv": b"query_id,reference_id\nQ999999,R000001\n"}, _TRAIN, 2,
+                 "world/gt.csv: pair ('Q999999', 'R000001') references unknown ids",
+                 id="world-gt-unknown-id"),
+    pytest.param({"s.json": b'{"index": 1}'}, [*_TRAIN, "--stages", "s.json"], 1,
+                 "s.json: stage file must hold a JSON list", id="stages-object"),
+    pytest.param({"s.json": b"nope\n"}, [*_TRAIN, "--stages", "s.json"], 2,
+                 "s.json: not JSON (Expecting value: line 1 column 1 (char 0))", id="stages-not-json"),
+    pytest.param({"enc.bin": _ISCW_TRAILING},
+                 ["embed", "--encoder", "enc.bin", "--in", "world/queries.emb", "--out", "o.emb"], 2,
+                 "enc.bin: 4 trailing bytes", id="iscw-trailing-bytes"),
+    pytest.param({"z.emb": b"ISCE" + struct.pack("<IIQ", 1, 0, 0)},
+                 ["search", "--queries", "z.emb", "--db", "z.emb"], 2,
+                 "z.emb: header dim 0 is invalid", id="emb-dim-0"),
+]
+
+
 class TestCli:
     def _gen(self, tmp_path, capsys):
         rc = main([
@@ -491,6 +528,17 @@ class TestCli:
             f"copydet: {path}: 6-dim rows, but training.emb has 4-dim rows\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("files, argv, code, message", _READER_ERRORS)
+    def test_reader_error_exit_code_and_message(
+        self, tmp_path, capsys, monkeypatch, files, argv, code, message
+    ):
+        self._gen(tmp_path, capsys)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"copydet: {message}\n"
 
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["embed", "--encoder", str(tmp_path / "none.bin"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from copydet import DimMismatch, EmbeddingSet, topk, topk_batch
-from copydet.search import row_blocks, select_topk
+from copydet.search import _BLOCK_BYTES, row_blocks, select_topk
 
 
 def brute_force_topk(query, matrix, k):
@@ -140,6 +142,25 @@ class TestTopkBatch:
         b = topk_batch(queries, db, 5)
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
+
+    def test_one_score_block_alive_at_a_time(self):
+        # 4096 database rows make each 32-query block exactly _BLOCK_BYTES;
+        # 100 queries span four blocks. Beyond the float64 database
+        # transpose, the widened queries and the outputs, the peak holds one
+        # block plus select_topk's scratch, never two blocks.
+        rng = np.random.default_rng(23)
+        db = unit_set(rng, 4096, 16)
+        queries = unit_set(rng, 100, 16, prefix="q")
+        assert len(list(row_blocks(queries.count, db.count))) >= 3
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            idx, scores = topk_batch(queries, db, 10)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = (db.count + queries.count) * db.dim * 8 + idx.nbytes + scores.nbytes
+        assert peak - held < 1.5 * _BLOCK_BYTES
 
 
 class TestSelectTopk:
