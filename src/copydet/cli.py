@@ -89,7 +89,7 @@ def _manifest_from_args(args) -> RunManifest:
     if args.stages_file is not None:
         try:
             d["stages"] = json.loads(read_text(args.stages_file))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise FormatError(f"{args.stages_file}: not JSON ({exc})") from exc
         if not isinstance(d["stages"], list):
             raise ValueError(f"{args.stages_file}: stage file must hold a JSON list")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import EmbeddingSet, read_embeddings, write_embeddings
-from .errors import FormatError
+from .errors import FormatError, check_at_least
 from .metrics import GroundTruth, read_gt_csv, write_gt_csv
 
 TIER_NAMES = ("none", "weak", "intermediate", "strong")
@@ -174,8 +174,7 @@ def check_world_settings(n_train: int, n_ref: int, n_query: int, d_in: int, copy
     from without replacement.
     """
     for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query), ("d_in", d_in)):
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+        check_at_least(name, n, 1)
     if not 0.0 <= copy_rate <= 1.0:
         raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
     n_copy = int(round(copy_rate * n_query))
@@ -200,8 +199,7 @@ def raw_set(prefix: str, rows: np.ndarray) -> EmbeddingSet:
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Named, independent RNG stream derived from one master seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_at_least("seed", seed, 0)
     digest = sum(ord(c) * 31**i for i, c in enumerate(name)) % (2**32)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(digest,)))
 

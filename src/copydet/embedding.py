@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatch, FormatError, ZeroVector
+from .errors import DimMismatch, FormatError, NonFiniteValue, ZeroVector
 
 MAGIC = b"ISCE"
 VERSION_UNIT = 1
@@ -28,19 +28,33 @@ ZERO_NORM = 1e-12
 _HEADER = struct.Struct("<4sIIQ")
 
 
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v`` to unit L2 norm, returned as float64.
+def normalize_rows(rows: np.ndarray, ids: tuple[str, ...] | None = None) -> np.ndarray:
+    """Scale the float64 ``rows`` to unit L2 norm in place; returns their norms
+    (np.linalg.norm's, without its wrapper). The first row whose norm is not
+    finite raises NonFiniteValue, or below 1e-12 ZeroVector, named by its id
+    in ``ids`` or by its index."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    bad = np.flatnonzero(~((norms >= ZERO_NORM) & (norms < np.inf)))
+    if bad.size:
+        i = bad[0]
+        which = f"descriptor {i}" if ids is None else f"descriptor {ids[i]!r}"
+        if np.isfinite(norms[i]):
+            raise ZeroVector(f"{which} has norm {norms[i]:.3e}, too small to normalize")
+        raise NonFiniteValue(f"{which} has a non-finite norm ({norms[i]})")
+    rows /= norms[:, None]
+    return norms
 
-    Raises ZeroVector for degenerate input (norm below 1e-12); callers
-    must not silently proceed with a vector that has no direction.
-    """
+
+def normalize(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to unit L2 norm, as a new float64 vector; errors as
+    :func:`normalize_rows`."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise DimMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_NORM:
-        raise ZeroVector(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
+    row = v[None, :].copy()
+    normalize_rows(row)
+    return row[0]
 
 
 def _check_ids(ids: tuple[str, ...]) -> None:
@@ -163,8 +177,8 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
     The round trip is bit-exact: floats come back with identical bit
     patterns. Raises FormatError on bad magic, unknown version, or a
-    truncated/oversized payload; DimMismatch when the payload length is
-    consistent with the row count but not with the declared dim.
+    truncated/oversized payload, naming the header's dim when the payload
+    length is consistent with the row count but not with that dim.
     """
     path = Path(path)
     blob = path.read_bytes()
@@ -181,13 +195,10 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
     expected = count * dim * 4
     if len(payload) != expected:
         if count > 0 and len(payload) % count == 0 and len(payload) % 4 == 0:
-            raise DimMismatch(
-                f"{path}: header dim {dim} disagrees with payload row size "
-                f"{len(payload) // count} bytes"
-            )
-        raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
+            detail = f"header dim {dim} disagrees with payload row size {len(payload) // count} bytes"
+        else:
+            detail = f"payload holds {len(payload)} bytes, header implies {expected}"
+        raise FormatError(f"{path}: {detail}")
     matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
 
     ids_file = _ids_path(path)

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one bound check."""
+
+import math
 
 
 class CopyDetError(Exception):
@@ -31,3 +33,10 @@ class EmptyGroundTruth(CopyDetError):
 
 class NonFiniteValue(CopyDetError):
     """A computation produced NaN or infinity, as a diverging training step does."""
+
+
+def check_at_least(name: str, value, low) -> None:
+    """Raise ValueError ``{name} must be >= {low}, got {value}`` unless
+    ``value`` is a finite number of at least ``low``; NaN and inf fail."""
+    if not low <= value < math.inf:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

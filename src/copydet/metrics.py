@@ -57,20 +57,23 @@ def write_gt_csv(path: str | Path, pairs: Iterable[tuple[str, str]]) -> None:
 
 
 def read_gt_csv(path: str | Path) -> GroundTruth:
-    """Ground truth from a CSV written by :func:`write_gt_csv`; a repeated
-    pair or a row of the wrong width is a FormatError naming its line."""
+    """Ground truth from a CSV written by :func:`write_gt_csv`; a repeated pair, a
+    row of the wrong width or a line csv cannot parse is a FormatError naming its line."""
     pairs: set[tuple[str, str]] = set()
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
-    if header != _GT_HEADER:
-        raise FormatError(f"{path}: unexpected header {header}")
-    for row in reader:
-        if len(row) != 2:
-            raise FormatError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
-        pair = (row[0], row[1])
-        if pair in pairs:
-            raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
-        pairs.add(pair)
+    try:
+        header = next(reader, None)
+        if header != _GT_HEADER:
+            raise FormatError(f"{path}: unexpected header {header}")
+        for row in reader:
+            if len(row) != 2:
+                raise FormatError(f"{path}:{reader.line_num}: expected 2 fields, got {len(row)}")
+            pair = (row[0], row[1])
+            if pair in pairs:
+                raise FormatError(f"{path}:{reader.line_num}: duplicate pair {pair}")
+            pairs.add(pair)
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     return GroundTruth(frozenset(pairs))
 
 

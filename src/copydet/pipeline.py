@@ -24,6 +24,7 @@ from .datagen import (
     write_world,
 )
 from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
+from .errors import check_at_least
 from .metrics import build_candidates, evaluate
 from .postprocess import NegSubConfig, subtract_negatives_batch
 from .train import (
@@ -80,11 +81,9 @@ class RunManifest:
             )
         if self.world_tier not in TIER_NAMES:
             raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
-        for name, low in (
-            ("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0), ("bank_capacity", 0)
-        ):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, low in (("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0),
+                          ("bank_capacity", 0), ("momentum", 0)):
+            check_at_least(name, getattr(self, name), low)
         self.loss_config()
         self.negsub_config()
         self.stages = [
@@ -96,7 +95,7 @@ class RunManifest:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return render_report_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
@@ -283,6 +282,7 @@ def _write_report(command: str, run: TrainedRun, manifest: RunManifest, **body) 
 
 
 def render_report_json(report: dict) -> str:
+    """The one JSON form of an artifact, reports and manifests alike."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

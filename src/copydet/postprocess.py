@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import ZERO_NORM, EmbeddingSet
-from .errors import DimMismatch, ZeroVector
+from .embedding import EmbeddingSet, normalize_rows
+from .errors import DimMismatch, check_at_least
 from .search import topk_rows
 
 
@@ -26,12 +26,8 @@ class NegSubConfig:
     beta: float = 0.35
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        for name, low in (("n", 0), ("k", 1), ("beta", 0)):
+            check_at_least(name, getattr(self, name), low)
 
 
 def _subtract_rows(
@@ -58,14 +54,7 @@ def _subtract_rows(
         idx = topk_rows(y, negatives, cfg.k)[0]
         for rank in idx.T:
             y -= scaled[rank]
-        norms = np.linalg.norm(y, axis=1)
-        bad = np.flatnonzero(norms < ZERO_NORM)
-        if bad.size:
-            msg = f"subtraction annihilated the descriptor (norm {norms[bad[0]]:.3e})"
-            if ids is not None:
-                msg = f"target {ids[bad[0]]!r}: {msg}"
-            raise ZeroVector(msg)
-        y /= norms[:, None]
+        normalize_rows(y, ids)
     return y
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .embedding import EmbeddingSet
-from .errors import DimMismatch
+from .errors import DimMismatch, check_at_least
 
 # Cap on one float64 score block, whatever the query count. At 8192 database
 # rows a block still holds 16 queries, so per-block Python cost stays small.
@@ -65,8 +65,7 @@ def select_topk(scores: np.ndarray, m: int) -> np.ndarray:
 
 def topk_rows(rows: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row :func:`topk` of float64 ``rows``, for search and post-process alike."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_at_least("k", k, 1)
     if rows.shape[1] != db.dim:
         raise DimMismatch(f"query dim {rows.shape[1]} != db dim {db.dim}")
     m = min(k, db.count)

@@ -23,8 +23,8 @@ from typing import get_origin, get_type_hints
 import numpy as np
 
 from .datagen import TIERS, SyntheticWorld, augment_batch, get_tier
-from .embedding import ZERO_NORM, EmbeddingSet, write_bytes_atomic
-from .errors import DimMismatch, EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, ZeroVector
+from .embedding import EmbeddingSet, normalize_rows, write_bytes_atomic
+from .errors import DimMismatch, EmptyBatch, FormatError, NonFiniteValue, ShapeMismatch, check_at_least
 
 ENCODER_MAGIC = b"ISCW"
 ENCODER_VERSION = 1
@@ -68,8 +68,7 @@ class MemoryBank:
     """
 
     def __init__(self, capacity: int, dim: int):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        check_at_least("capacity", capacity, 0)
         self.capacity = capacity
         self._size = 0
         self._cursor = 0
@@ -292,10 +291,8 @@ class Encoder:
     def init(cls, d_in: int, d_out: int, hidden: int = 0, rng: np.random.Generator | None = None) -> "Encoder":
         """Random init, scaled by 1/sqrt(fan_in); biases zero. Hidden width 0
         is a linear encoder."""
-        if hidden < 0:
-            raise ValueError(f"hidden width must be >= 0, got {hidden}")
-        if d_out < 1:
-            raise ValueError(f"output width must be >= 1, got {d_out}")
+        check_at_least("hidden width", hidden, 0)
+        check_at_least("output width", d_out, 1)
         if rng is None:
             rng = np.random.default_rng(0)
         widths = [d_in, hidden, d_out] if hidden > 0 else [d_in, d_out]
@@ -328,16 +325,8 @@ class Encoder:
         for w, b_ in self.layers[:-1]:
             inputs.append(np.tanh(inputs[-1] @ w + b_))
         w, b_ = self.layers[-1]
-        z = inputs[-1] @ w + b_
-        # np.linalg.norm's sum for real rows, without its wrapper.
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.add.reduce(z * z, axis=1))
-        # An overflowing norm would silently turn z / norms into zeros.
-        if not np.all(np.isfinite(norms)):
-            raise NonFiniteValue("encoder produced a non-finite descriptor norm")
-        if np.any(norms < ZERO_NORM):
-            raise ZeroVector("encoder produced a zero descriptor")
-        e = z / norms[:, None]
+        e = inputs[-1] @ w + b_
+        norms = normalize_rows(e)
         return e, (inputs, e, norms)
 
     def _backward(self, cache, grad_e: np.ndarray) -> list[np.ndarray]:
@@ -393,6 +382,8 @@ class Encoder:
             offset += di * do * 4
             b_ = np.frombuffer(blob, dtype="<f4", count=do, offset=offset)
             offset += do * 4
+            if not (np.isfinite(w).all() and np.isfinite(b_).all()):
+                raise FormatError(f"{path}: layer {len(layers) + 1} holds non-finite weights")
             layers.append((w.astype(np.float64), b_.astype(np.float64)))
         if offset != len(blob):
             raise FormatError(f"{path}: {len(blob) - offset} trailing bytes")
@@ -434,10 +425,8 @@ class StageConfig:
 
     def __post_init__(self) -> None:
         get_tier(self.tier)
-        for name, low in (("epochs", 0), ("batch_size", 1), ("ref_per_batch", 0), ("gt_per_batch", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"stage field {name!r} must be >= {low}, got {value}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("ref_per_batch", 0), ("gt_per_batch", 0), ("lr", 0)):
+            check_at_least(f"stage field {name!r}", getattr(self, name), low)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from copydet import (
-    DimMismatch,
     EmbeddingSet,
     Encoder,
     FormatError,
+    NonFiniteValue,
     RankedMatches,
     ZeroVector,
     normalize,
@@ -18,7 +18,7 @@ from copydet import (
     write_embeddings,
     write_matches_tsv,
 )
-from copydet.embedding import _check_ids
+from copydet.embedding import _check_ids, normalize_rows
 
 # Each example overwrites the same files, so sharing tmp_path is safe.
 _FILE_PROPERTY = settings(
@@ -51,6 +51,38 @@ class TestNormalize:
             v = rng.standard_normal(16) * rng.uniform(1e-6, 1e6)
             once = normalize(v)
             np.testing.assert_allclose(normalize(once), once, atol=1e-7)
+
+    def test_float64_input_unchanged(self):
+        v = np.array([3.0, 4.0])
+        assert normalize(v) is not v
+        np.testing.assert_array_equal(v, [3.0, 4.0])
+
+
+class TestNormalizeRows:
+    def test_scales_in_place_and_returns_norms(self):
+        rows = np.array([[3.0, 4.0], [0.0, 2.0]])
+        norms = normalize_rows(rows)
+        np.testing.assert_array_equal(norms, [5.0, 2.0])
+        np.testing.assert_array_equal(rows, [[0.6, 0.8], [0.0, 1.0]])
+
+    def test_norms_are_linalg_norms(self):
+        rows = np.random.default_rng(3).standard_normal((50, 17))
+        want = np.linalg.norm(rows, axis=1)
+        np.testing.assert_array_equal(normalize_rows(rows.copy()), want)
+
+    @pytest.mark.parametrize("ids, name", [(None, "descriptor 1 "), (("a", "b", "c"), "descriptor 'b' ")])
+    def test_zero_row_named_by_id_or_index(self, ids, name):
+        rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ZeroVector, match=f"^{name}has norm 0.000e[+]00"):
+            normalize_rows(rows, ids)
+        np.testing.assert_array_equal(rows[0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_norm_rejected(self, bad):
+        # 1e200 squared overflows: a finite row whose norm is not.
+        rows = np.array([[1.0, 0.0], [bad, 1.0]])
+        with pytest.raises(NonFiniteValue, match="^descriptor 'y' has a non-finite norm"):
+            normalize_rows(rows, ("x", "y"))
 
 
 class TestEmbeddingSet:
@@ -172,7 +204,7 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[8:12] = (5).to_bytes(4, "little")  # dim 8 -> 5, payload unchanged
         path.write_bytes(bytes(blob))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(FormatError, match=r"dim\.emb: header dim 5 disagrees with payload row size 32 bytes$"):
             read_embeddings(path)
 
     def test_missing_sidecar(self, tmp_path):
@@ -262,7 +294,7 @@ class TestSerializationProperties:
         path.with_suffix(".ids").write_bytes(ids)
         try:
             read_embeddings(path)
-        except (FormatError, DimMismatch):
+        except FormatError:
             pass
 
     @_FILE_PROPERTY
@@ -275,7 +307,7 @@ class TestSerializationProperties:
         if not blob:
             return
         victim.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
-        with pytest.raises((FormatError, DimMismatch)):
+        with pytest.raises(FormatError):
             read_embeddings(path)
 
 

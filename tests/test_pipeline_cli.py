@@ -203,6 +203,8 @@ class TestNegativeSwap:
 # with the message each exits 1 with.
 _INVALID_SETTINGS = [
     (["reproduce-trend", "--beta", "-1"], "beta must be >= 0, got -1.0"),
+    (["reproduce-trend", "--beta", "nan"], "beta must be >= 0, got nan"),
+    (["negative-swap", "--beta", "inf"], "beta must be >= 0, got inf"),
     (["negative-swap", "--k", "0"], "k must be >= 1, got 0"),
     (["reproduce-trend", "--n", "-1"], "n must be >= 0, got -1"),
     (["reproduce-trend", "--per-query-k", "0"], "per_query_k must be >= 1, got 0"),
@@ -231,6 +233,7 @@ _INVALID_SETTINGS = [
 # 64/64/32 dim-8 world in world/, the argv run there, its exit code and
 # its whole stderr after "copydet: ".
 _ISCW_TRAILING = b"ISCW" + struct.pack("<IIII", 1, 1, 8, 4) + bytes(4 * (8 * 4 + 4)) + bytes(4)
+_ISCW_NAN = b"ISCW" + struct.pack("<IIII", 1, 1, 8, 4) + struct.pack("<f", float("nan")) + bytes(4 * (8 * 4 + 3))
 _EVAL_TSV = ["eval", "--gt", "world/gt.csv", "--pred", "m.tsv"]
 _TRAIN = ["train", "--world", "world", "--seed", "7", "--out", "e.bin"]
 _READER_ERRORS = [
@@ -261,6 +264,18 @@ _READER_ERRORS = [
     pytest.param({"z.emb": b"ISCE" + struct.pack("<IIQ", 1, 0, 0)},
                  ["search", "--queries", "z.emb", "--db", "z.emb"], 2,
                  "z.emb: header dim 0 is invalid", id="emb-dim-0"),
+    pytest.param({"d.emb": b"ISCE" + struct.pack("<IIQ", 1, 4, 2) + bytes(2 * 8 * 4)},
+                 ["search", "--queries", "d.emb", "--db", "d.emb"], 2,
+                 "d.emb: header dim 4 disagrees with payload row size 32 bytes", id="emb-dim-mismatch"),
+    pytest.param({"gt.csv": b"query_id,reference_id\n" + b"q" * 131073 + b",r1\n", "m.tsv": b""},
+                 ["eval", "--gt", "gt.csv", "--pred", "m.tsv"], 2,
+                 "gt.csv:2: field larger than field limit (131072)", id="gt-field-too-long"),
+    pytest.param({"enc.bin": _ISCW_NAN},
+                 ["embed", "--encoder", "enc.bin", "--in", "world/queries.emb", "--out", "o.emb"], 2,
+                 "enc.bin: layer 1 holds non-finite weights", id="iscw-nan-weight"),
+    pytest.param({"s.json": b"[" * 100000}, [*_TRAIN, "--stages", "s.json"], 2,
+                 "s.json: not JSON (maximum recursion depth exceeded while decoding a JSON array "
+                 "from a unicode string)", id="stages-too-deep"),
 ]
 
 
@@ -657,6 +672,25 @@ class TestCli:
         assert main(argv + ["--seed", "1"]) == 1
         assert capsys.readouterr().err == f"copydet: {message}\n"
         assert not out.exists()
+
+    def test_nan_momentum_or_lr_rejected_before_world(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr("copydet.pipeline.gen_world", unreachable)
+        d = RunManifest(seed=1, out_dir=str(tmp_path / "run")).to_dict()
+        with pytest.raises(ValueError, match="^momentum must be >= 0, got nan$"):
+            reproduce_trend(RunManifest.from_dict({**d, "momentum": float("nan")}))
+        stages = [{**d["stages"][0], "lr": float("nan")}]
+        with pytest.raises(ValueError, match="^stage field 'lr' must be >= 0, got nan$"):
+            reproduce_trend(RunManifest.from_dict({**d, "stages": stages}))
+        assert not (tmp_path / "run").exists()
+
+    def test_nan_stage_lr_exit_1(self, tmp_path, capsys):
+        # JSON has no NaN, but Python's reader takes the literal json.dumps writes.
+        rc = self._trend_with_stages(tmp_path, [dict(index=1, tier="weak", lr=float("nan"))])
+        assert rc == 1
+        assert capsys.readouterr().err == "copydet: stage field 'lr' must be >= 0, got nan\n"
 
     @pytest.mark.parametrize("command", ["gen-data", "negative-swap"])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command):

@@ -5,6 +5,7 @@ from copydet import (
     DimMismatch,
     EmbeddingSet,
     NegSubConfig,
+    NonFiniteValue,
     ZeroVector,
     gen_world,
     subtract_negatives,
@@ -164,6 +165,14 @@ class TestSubtractNegativesBatch:
         with pytest.raises(ZeroVector, match="dies"):
             subtract_negatives_batch(targets, negs, NegSubConfig(n=1, k=1, beta=1.0))
 
+    def test_overflowing_subtraction_names_target(self):
+        # Each row stays finite after the subtraction, but its squared norm overflows.
+        rng = np.random.default_rng(16)
+        negs = unit_set(rng, 8, 4)
+        targets = unit_set(rng, 3, 4, prefix="t")
+        with pytest.raises(NonFiniteValue, match=r"^descriptor 't0' has a non-finite norm \(inf\)$"):
+            subtract_negatives_batch(targets, negs, NegSubConfig(n=1, k=2, beta=1e308))
+
 
 class TestBlockedPath:
     def test_several_blocks_match_per_target_oracle(self):
@@ -188,7 +197,7 @@ class TestBlockedPath:
         mat[250], mat[260] = negs.matrix[7], negs.matrix[99]
         targets = EmbeddingSet(tuple(f"t{i}" for i in range(300)), mat)
         assert next(row_blocks(300, negs.count)).stop <= 250
-        with pytest.raises(ZeroVector, match=r"^target 't250': "):
+        with pytest.raises(ZeroVector, match=r"^descriptor 't250' "):
             subtract_negatives_batch(targets, negs, NegSubConfig(n=1, k=1, beta=1.0))
 
     def test_empty_pool_rejected_even_with_n_zero(self):
