@@ -192,9 +192,9 @@ def twin_pool(seed: int, n: int, d_in: int) -> EmbeddingSet:
 
 
 def raw_set(prefix: str, rows: np.ndarray) -> EmbeddingSet:
-    """Raw float32 rows named ``prefix`` plus a 6-digit row index."""
+    """Raw ``rows``, stored as float32, named ``prefix`` plus a 6-digit row index."""
     ids = tuple(f"{prefix}{i:06d}" for i in range(len(rows)))
-    return EmbeddingSet(ids, rows.astype(np.float32), unit_norm=False)
+    return EmbeddingSet(ids, rows, unit_norm=False)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

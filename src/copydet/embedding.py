@@ -97,10 +97,11 @@ def read_text(path: str | Path) -> str:
 class EmbeddingSet:
     """Immutable ordered set of vectors with string ids.
 
-    ``matrix`` is float32, one row per id. ``unit_norm`` marks sets whose
-    rows carry the descriptor unit-norm guarantee; raw feature sets (for
-    example synthetic world inputs) set it False and are written to disk
-    with a distinct format version.
+    ``matrix`` is float32, one row per id: only the constructor rounds rows
+    to float32, and only :meth:`rows` widens them back to float64. ``unit_norm``
+    marks sets whose rows carry the descriptor unit-norm guarantee; raw feature
+    sets (for example synthetic world inputs) set it False and are written to
+    disk with a distinct format version.
     """
 
     ids: tuple[str, ...]
@@ -146,9 +147,13 @@ class EmbeddingSet:
     def count(self) -> int:
         return int(self.matrix.shape[0])
 
+    def rows(self, index=slice(None)) -> np.ndarray:
+        """A writable float64 copy of ``matrix[index]``, all rows by default."""
+        return self.matrix[index].astype(np.float64)
+
     def row(self, i: int) -> np.ndarray:
         """Row ``i`` as a float64 vector."""
-        return self.matrix[i].astype(np.float64)
+        return self.rows(i)
 
 
 def _ids_path(path: Path) -> Path:

@@ -228,7 +228,8 @@ def write_matches_tsv(path_or_handle, ranked: RankedMatches) -> None:
     bad = next((i for i in ranked.query_ids + ranked.reference_ids if "\t" in i), None)
     if bad is not None:
         raise ValueError(f"id {bad!r} contains a tab, which matches.tsv cannot hold")
-    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in ranked.entries)
+    q, r, s = ranked.query.tolist(), ranked.reference.tolist(), ranked.scores.tolist()
+    lines = "".join(f"{ranked.query_ids[i]}\t{ranked.reference_ids[j]}\t{x!r}\n" for i, j, x in zip(q, r, s))
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(lines)
     else:

@@ -47,9 +47,10 @@ def _subtract_rows(
         return y
     if negatives.count < 1:
         raise ValueError("negatives set is empty")
-    # Widened once (exactly) and scaled once. Pools smaller than k
-    # under-subtract: the scale stays beta / requested k.
-    scaled = np.multiply(negatives.matrix, cfg.beta / cfg.k, dtype=np.float64)
+    # Widened once (exactly) and scaled once, in place. Pools smaller than
+    # k under-subtract: the scale stays beta / requested k.
+    scaled = negatives.rows()
+    scaled *= cfg.beta / cfg.k
     for _ in range(cfg.n):
         idx = topk_rows(y, negatives, cfg.k)[0]
         for rank in idx.T:
@@ -84,5 +85,4 @@ def subtract_negatives_batch(
     a target depends only on that target and the pool. Errors carry the
     offending target id.
     """
-    rows = _subtract_rows(targets.matrix.astype(np.float64), negatives, cfg, targets.ids)
-    return EmbeddingSet(targets.ids, rows.astype(np.float32), unit_norm=True)
+    return EmbeddingSet(targets.ids, _subtract_rows(targets.rows(), negatives, cfg, targets.ids), unit_norm=True)

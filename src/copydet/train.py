@@ -45,6 +45,7 @@ class LossConfig:
     neg_margin: float = 1.0
 
     def __post_init__(self) -> None:
+        check_at_least("neg_margin", self.neg_margin, 0)
         if not 0.0 <= self.pos_margin < self.neg_margin:
             raise ValueError(
                 f"need 0 <= pos_margin < neg_margin, got "
@@ -314,19 +315,20 @@ class Encoder:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Unit-norm descriptors for raw input rows."""
+        return self._forward_cached(x)[0]
+
+    def _forward_cached(self, x: np.ndarray, ids: tuple[str, ...] | None = None):
+        # The one input path. ``ids`` name a row whose output cannot be normalized.
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != self.d_in:
             raise DimMismatch(f"encoder takes {self.d_in}-dim input, got {x.shape[-1]}-dim rows")
-        return self._forward_cached(x)[0]
-
-    def _forward_cached(self, x: np.ndarray):
         # inputs[i] is layer i's input: x, then the tanh of each hidden layer.
         inputs = [x]
         for w, b_ in self.layers[:-1]:
             inputs.append(np.tanh(inputs[-1] @ w + b_))
         w, b_ = self.layers[-1]
         e = inputs[-1] @ w + b_
-        norms = normalize_rows(e)
+        norms = normalize_rows(e, ids)
         return e, (inputs, e, norms)
 
     def _backward(self, cache, grad_e: np.ndarray) -> list[np.ndarray]:
@@ -346,8 +348,7 @@ class Encoder:
 
     def encode_set(self, es: EmbeddingSet) -> EmbeddingSet:
         """Encode a raw set into a unit-norm descriptor set, ids preserved."""
-        out = self.forward(es.matrix.astype(np.float64))
-        return EmbeddingSet(es.ids, out.astype(np.float32), unit_norm=True)
+        return EmbeddingSet(es.ids, self._forward_cached(es.rows(), es.ids)[0], unit_norm=True)
 
     def save(self, path: str | Path) -> None:
         """Checkpoint: magic ISCW, version, layer dims, float32 weights."""
@@ -404,7 +405,7 @@ def encoder_loss_and_grads(
 
     Returns (loss, gradients in ``encoder.params()`` order, embeddings).
     """
-    e, cache = encoder._forward_cached(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    e, cache = encoder._forward_cached(x)
     loss, grad_e = contrastive_loss(e, labels, bank, cfg)
     return loss, encoder._backward(cache, grad_e), e
 
@@ -512,12 +513,11 @@ def run_stage(
     and query rows are never augmented. After each optimizer step the batch
     embeddings are pushed into the bank.
 
-    The world's float32 matrices are not widened as a whole: each block and
+    The world's float32 sets are not widened as a whole: each block and
     batch widens only the rows it takes (float32 to float64 is exact).
     """
     tier = get_tier(stage.tier)
-    train_raw, ref_raw, query_raw = world.training.matrix, world.reference.matrix, world.queries.matrix
-    n_train, n_ref = train_raw.shape[0], ref_raw.shape[0]
+    n_train, n_ref = world.training.count, world.reference.count
     qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
     rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
     gt_idx = np.array([(qpos[q], rpos[r]) for q, r in sorted(world.gt.pairs)], dtype=np.int64).reshape(-1, 2)
@@ -531,7 +531,7 @@ def run_stage(
         for batch, start in enumerate(range(0, n_train, stage.batch_size)):
             offset = start % block_rows
             if offset == 0:
-                block = train_raw[order[start : start + block_rows]].astype(np.float64)
+                block = world.training.rows(order[start : start + block_rows])
                 if tier.name == "none":
                     views = (block,)
                 else:
@@ -541,14 +541,14 @@ def run_stage(
             labels = [items] * len(views)
             if stage.include_reference_negatives:
                 refs = rng.choice(n_ref, size=min(stage.ref_per_batch, n_ref), replace=False)
-                blocks.append(ref_raw[refs])
+                blocks.append(world.reference.rows(refs))
                 labels.append(n_train + refs)
             if stage.include_gt_positives and len(gt_idx):
                 picks = rng.choice(len(gt_idx), size=min(stage.gt_per_batch, len(gt_idx)), replace=False)
                 qi, ri = gt_idx[picks].T
-                blocks += [query_raw[qi], ref_raw[ri]]
+                blocks += [world.queries.rows(qi), world.reference.rows(ri)]
                 labels += [n_train + ri, n_train + ri]
-            x, y = np.concatenate(blocks, dtype=np.float64), np.concatenate(labels)
+            x, y = np.concatenate(blocks), np.concatenate(labels)
             try:
                 loss, grads, emb = encoder_loss_and_grads(encoder, x, y, bank, loss_cfg)
                 if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)):

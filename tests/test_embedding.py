@@ -116,6 +116,29 @@ class TestEmbeddingSet:
         EmbeddingSet(("a", "b"), arr)
         arr[0, 0] = 5.0  # must still be writable
 
+    def test_float64_rows_are_rounded_once(self):
+        rows = np.random.default_rng(11).standard_normal((7, 5)) * 1e3
+        es = EmbeddingSet(tuple("abcdefg"), rows, unit_norm=False)
+        assert es.matrix.dtype == np.float32
+        np.testing.assert_array_equal(es.matrix.view(np.uint32), rows.astype(np.float32).view(np.uint32))
+
+    @pytest.mark.parametrize("index", [2, slice(1, 3), np.array([3, 0, 3])], ids=["int", "slice", "array"])
+    def test_rows_is_a_writable_float64_copy(self, index):
+        rows = np.random.default_rng(12).standard_normal((4, 3))
+        es = EmbeddingSet(tuple("abcd"), rows, unit_norm=False)
+        before = es.matrix.copy()
+        got = es.rows(index)
+        assert got.dtype == np.float64 and got.flags.writeable
+        np.testing.assert_array_equal(got, before[index].astype(np.float64))
+        got[...] = 7.0
+        np.testing.assert_array_equal(es.matrix, before)
+        assert not es.matrix.flags.writeable
+
+    def test_rows_defaults_to_every_row(self):
+        es = EmbeddingSet(("a", "b"), np.eye(2))
+        np.testing.assert_array_equal(es.rows(), np.eye(2))
+        np.testing.assert_array_equal(es.row(1), [0.0, 1.0])
+
 
 def _random_unit_set(rng, count, dim):
     mat = rng.standard_normal((count, dim))

@@ -89,6 +89,11 @@ class TestManifest:
         # A float field takes an int; the value is kept as given.
         assert RunManifest.from_dict({**d, "copy_rate": 1}).copy_rate == 1
 
+    @pytest.mark.parametrize("margin", [float("inf"), float("nan")])
+    def test_non_finite_neg_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match=f"^neg_margin must be >= 0, got {margin}$"):
+            RunManifest(seed=0, out_dir="", neg_margin=margin)
+
     def test_bad_targets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="postprocess_targets"):
             tiny_manifest(tmp_path, postprocess_targets="everything")
@@ -372,6 +377,18 @@ class TestCli:
                    "--out", str(tmp_path / "out.emb")])
         assert rc == 1
         assert capsys.readouterr().err == "copydet: encoder takes 8-dim input, got 16-dim rows\n"
+        assert not (tmp_path / "out.emb").exists()
+
+    def test_embed_zero_output_names_the_input_id(self, tmp_path, capsys):
+        self._gen(tmp_path, capsys)
+        path = tmp_path / "enc.bin"
+        path.write_bytes(b"ISCW" + struct.pack("<IIII", 1, 1, 8, 2) + bytes(4 * (8 * 2 + 2)))
+        rc = main(["embed", "--encoder", str(path), "--in", str(tmp_path / "world" / "queries.emb"),
+                   "--out", str(tmp_path / "out.emb")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "copydet: descriptor 'Q000000' has norm 0.000e+00, too small to normalize\n"
+        )
         assert not (tmp_path / "out.emb").exists()
 
     def test_full_chain_train_embed_search_eval(self, tmp_path, capsys):

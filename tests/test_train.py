@@ -11,6 +11,7 @@ import copydet.train
 from copydet import (
     TIERS,
     AugmentTier,
+    DimMismatch,
     EmptyBatch,
     Encoder,
     FormatError,
@@ -587,6 +588,11 @@ class TestEncoder:
     def test_zero_output_width_rejected(self, hidden):
         with pytest.raises(ValueError, match=r"^output width must be >= 1, got 0$"):
             Encoder.init(8, 0, hidden=hidden)
+
+    def test_training_input_width_checked(self):
+        enc = Encoder.init(4, 2)
+        with pytest.raises(DimMismatch, match=r"^encoder takes 4-dim input, got 5-dim rows$"):
+            encoder_loss_and_grads(enc, np.ones((3, 5)), np.arange(3), None, LossConfig())
 
     def test_forward_unit_norm(self):
         rng = np.random.default_rng(4)
