@@ -228,8 +228,9 @@ def write_matches_tsv(path_or_handle, ranked: RankedMatches) -> None:
     bad = next((i for i in ranked.query_ids + ranked.reference_ids if "\t" in i), None)
     if bad is not None:
         raise ValueError(f"id {bad!r} contains a tab, which matches.tsv cannot hold")
-    q, r, s = ranked.query.tolist(), ranked.reference.tolist(), ranked.scores.tolist()
-    lines = "".join(f"{ranked.query_ids[i]}\t{ranked.reference_ids[j]}\t{x!r}\n" for i, j, x in zip(q, r, s))
+    q_ids = np.asarray(ranked.query_ids, dtype=object)[ranked.query]
+    r_ids = np.asarray(ranked.reference_ids, dtype=object)[ranked.reference]
+    lines = "".join(f"{q}\t{r}\t{s!r}\n" for q, r, s in zip(q_ids, r_ids, ranked.scores.tolist()))
     if hasattr(path_or_handle, "write"):
         path_or_handle.write(lines)
     else:

@@ -72,8 +72,7 @@ def topk_rows(rows: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, n
     idx, top = np.empty((rows.shape[0], m), dtype=np.int64), np.empty((rows.shape[0], m))
     # select_topk needs m >= 1; with no rows row_blocks yields nothing.
     if m:
-        # Contiguous operands take BLAS's fast no-transpose gemm path. This is
-        # the one widening not through db.rows(), which would add a copy.
+        # Contiguous operands take BLAS's fast no-transpose gemm path; db.rows().T would add a copy.
         db_t = np.ascontiguousarray(db.matrix.T, dtype=np.float64)
         for block in row_blocks(rows.shape[0], db.count):
             scores = rows[block] @ db_t
