@@ -211,7 +211,7 @@ def write_world(world: SyntheticWorld, out_dir: str | Path) -> None:
     write_embeddings(world.training, out / "training.emb")
     write_embeddings(world.reference, out / "reference.emb")
     write_embeddings(world.queries, out / "queries.emb")
-    write_gt_csv(out / "gt.csv", sorted(world.gt.pairs))
+    write_gt_csv(out / "gt.csv", world.gt.pairs)
 
 
 def load_world(world_dir: str | Path) -> SyntheticWorld:
@@ -231,10 +231,7 @@ def load_world(world_dir: str | Path) -> SyntheticWorld:
             )
     gt_path = d / "gt.csv"
     gt = read_gt_csv(gt_path)
-    qids = set(queries.ids)
-    rids = set(reference.ids)
-    # Sorted, so that the unknown pair named does not follow the hash seed.
-    for q, r in sorted(gt.pairs):
-        if q not in qids or r not in rids:
+    for (q, r), rows in zip(gt.pairs, gt.positions(queries.ids, reference.ids).tolist()):
+        if min(rows) < 0:
             raise FormatError(f"{gt_path}: pair ({q!r}, {r!r}) references unknown ids")
     return SyntheticWorld(training, reference, queries, gt)

@@ -72,7 +72,7 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
     The temporary file sits in the target's directory, so the rename is
     atomic: a reader, or a run that dies mid-write, sees the old file or
     the new one, never a partial one. The temporary file is removed if
-    anything fails.
+    anything fails, and an OSError names ``path`` in its place.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
@@ -80,8 +80,10 @@ def write_bytes_atomic(path: str | Path, data: bytes) -> None:
         with open(tmp, "xb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -11,7 +11,6 @@ metrics unchanged.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
@@ -32,9 +31,12 @@ _GT_HEADER = ["query_id", "reference_id"]
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Set of positive (query_id, reference_id) pairs."""
+    """Positive (query_id, reference_id) pairs from any iterable, held once and sorted."""
 
-    pairs: frozenset[tuple[str, str]]
+    pairs: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
 
     @property
     def positives(self) -> int:
@@ -43,10 +45,16 @@ class GroundTruth:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GroundTruth":
         pairs = list(pairs)
-        unique = frozenset(pairs)
-        if len(unique) != len(pairs):
+        if len(set(pairs)) != len(pairs):
             raise ValueError("ground truth contains duplicate pairs")
-        return cls(unique)
+        return cls(pairs)
+
+    def positions(self, query_ids: Sequence[str], reference_ids: Sequence[str]) -> np.ndarray:
+        """Each pair's (query row, reference row) in two id tables of any order, as a
+        ``(positives, 2)`` int64 array in pair order; -1 where a table lacks the id."""
+        qpos = {q: i for i, q in enumerate(query_ids)}
+        rpos = {r: i for i, r in enumerate(reference_ids)}
+        return np.array([(qpos.get(q, -1), rpos.get(r, -1)) for q, r in self.pairs], dtype=np.int64).reshape(-1, 2)
 
 
 def write_gt_csv(path: str | Path, pairs: Iterable[tuple[str, str]]) -> None:
@@ -74,7 +82,7 @@ def read_gt_csv(path: str | Path) -> GroundTruth:
             pairs.add(pair)
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
-    return GroundTruth(frozenset(pairs))
+    return GroundTruth(pairs)
 
 
 class RankedMatches:
@@ -149,17 +157,13 @@ def _sorted_ids(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
 def _true_ranks(ranked: RankedMatches, gt: GroundTruth) -> np.ndarray:
     """The ranks (1-based, ascending) that hold a true pair."""
     n_ref = len(ranked.reference_ids)
-    keys = []
-    for q, r in gt.pairs:
-        qi = bisect.bisect_left(ranked.query_ids, q)
-        ri = bisect.bisect_left(ranked.reference_ids, r)
-        if ranked.query_ids[qi : qi + 1] == (q,) and ranked.reference_ids[ri : ri + 1] == (r,):
-            keys.append(qi * n_ref + ri)
-    if not keys:
+    rows = gt.positions(ranked.query_ids, ranked.reference_ids)
+    rows = rows[(rows >= 0).all(axis=1)]
+    if not rows.size:
         return np.zeros(0, dtype=np.int64)
     # A binary search, not np.isin: its first sort-based call imports
     # numpy modules for about 20 ms.
-    truth = np.sort(np.array(keys))
+    truth = np.sort(rows[:, 0] * n_ref + rows[:, 1])
     entry = ranked.query * n_ref + ranked.reference
     found = truth[np.searchsorted(truth, entry).clip(max=truth.size - 1)] == entry
     return np.flatnonzero(found) + 1

@@ -173,16 +173,14 @@ def contrastive_loss(
 
     # Same-label pairs, compared only in the columns whose label occurs in
     # the batch: the b x b block and a few bank entries. The diagonal is no
-    # pair. Flat indices address the b x n pair matrix. The lookup table
-    # spans the batch's label range plus one slot, which stays False and
-    # takes every label outside that range.
+    # pair. Flat indices address the b x n pair matrix. The lookup table,
+    # sized by the batch, is indexed by a label's low bits; the exact compare
+    # drops the columns whose low bits, not label, match a batch label's.
     labs = X_labs[:b]  # int64, whatever the caller passed
-    lo = labs.min()
-    table = np.zeros(labs.max() - lo + 2, dtype=np.bool_)
-    table[labs - lo] = True
-    slot = (X_labs - lo).view(np.uint64)
-    np.minimum(slot, table.size - 1, out=slot)
-    shared = np.flatnonzero(table[slot])
+    low = (1 << (64 * b - 1).bit_length()) - 1
+    table = np.zeros(low + 1, dtype=np.bool_)
+    table[labs & low] = True
+    shared = np.flatnonzero(table[X_labs & low])
     r, c = np.divmod(np.flatnonzero(labs[:, None] == X_labs[shared]), shared.size)
     c = shared[c]
     same = r * n + c
@@ -518,9 +516,7 @@ def run_stage(
     """
     tier = get_tier(stage.tier)
     n_train, n_ref = world.training.count, world.reference.count
-    qpos = {qid: i for i, qid in enumerate(world.queries.ids)}
-    rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
-    gt_idx = np.array([(qpos[q], rpos[r]) for q, r in sorted(world.gt.pairs)], dtype=np.int64).reshape(-1, 2)
+    gt_idx = world.gt.positions(world.queries.ids, world.reference.ids)
 
     state: list[np.ndarray] | None = None
     epoch_losses: list[float] = []

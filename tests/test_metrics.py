@@ -355,3 +355,28 @@ class TestGtCsv:
         write_gt_csv(path, pairs)
         assert path.read_bytes() == b"query_id,reference_id\r\nq2,r9\r\nq1,r3\r\nq3,r1\r\n"
         assert read_gt_csv(path) == GroundTruth.from_pairs(pairs)
+
+
+class TestGroundTruth:
+    def test_pairs_held_once_and_sorted(self):
+        pairs = [("q2", "r1"), ("q1", "r9"), ("q10", "r0"), ("q1", "r3")]
+        rng = np.random.default_rng(0)
+        shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
+        gt = GroundTruth.from_pairs(shuffled)
+        assert gt == GroundTruth.from_pairs(sorted(pairs))
+        assert list(gt.pairs) == sorted(pairs)
+        assert GroundTruth(frozenset(pairs)) == gt
+        assert GroundTruth(pairs + pairs[:2]).positives == len(pairs)
+        with pytest.raises(ValueError, match="duplicate pairs"):
+            GroundTruth.from_pairs(pairs + pairs[:1])
+
+    def test_positions_in_pair_order_with_missing_ids(self):
+        gt = GroundTruth.from_pairs([("q3", "r1"), ("q1", "r2"), ("q2", "r9"), ("q9", "r1")])
+        rows = gt.positions(("q3", "q1", "q2"), ["r2", "r1"])
+        assert rows.dtype == np.int64
+        # Pair order is sorted: q1, q2, q3, q9.
+        assert rows.tolist() == [[1, 0], [2, -1], [0, 1], [-1, 1]]
+
+    def test_positions_of_empty_ground_truth(self):
+        rows = GroundTruth(()).positions(("q1",), ("r1",))
+        assert rows.shape == (0, 2) and rows.dtype == np.int64

@@ -572,6 +572,24 @@ class TestCli:
         assert main(argv) == code
         assert capsys.readouterr().err == f"copydet: {message}\n"
 
+    def test_output_in_missing_directory_names_the_output(self, tmp_path, capsys):
+        # Not the hidden temporary file beside it; a descriptor file names
+        # its .ids sidecar, which is written first.
+        self._gen(tmp_path, capsys)
+        world, missing = tmp_path / "world", tmp_path / "missing"
+        assert main(["search", "--queries", str(world / "queries.emb"),
+                     "--db", str(world / "reference.emb"), "--out", str(missing / "m.tsv")]) == 2
+        assert capsys.readouterr().err == (
+            f"copydet: [Errno 2] No such file or directory: '{missing / 'm.tsv'}'\n"
+        )
+        Encoder.init(8, 4, rng=np.random.default_rng(0)).save(tmp_path / "e.bin")
+        assert main(["embed", "--encoder", str(tmp_path / "e.bin"),
+                     "--in", str(world / "queries.emb"), "--out", str(missing / "q.emb")]) == 2
+        assert capsys.readouterr().err == (
+            f"copydet: [Errno 2] No such file or directory: '{missing / 'q.ids'}'\n"
+        )
+        assert not missing.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["embed", "--encoder", str(tmp_path / "none.bin"),
                    "--in", str(tmp_path / "none.emb"), "--out", str(tmp_path / "o.emb")])

@@ -318,6 +318,22 @@ class TestLossEdgeCases:
         assert np.ptp(labels) > 6 * (64 + len(bank))
         assert loss > 0.0 and grad.any()
 
+    def test_labels_spanning_2_62_and_negative(self):
+        # The same-label table is sized by the batch: a label range of 2**62
+        # would ask for exabytes. Labels k and k + 2**62 share their low bits,
+        # so the table keeps columns the exact compare must drop.
+        rng = np.random.default_rng(62)
+        base = rng.integers(-50, 50, size=12)
+        pool = np.concatenate((base, base + 2**62, -base - 2**61))
+        bank = MemoryBank(64, 8)
+        bank.push(unit_rows(rng, 48, 8), rng.choice(pool, size=48))
+        items = rng.choice(pool, size=10, replace=False)
+        emb, labels = unit_rows(rng, 20, 8), np.tile(items, 2)
+        loss, grad = assert_matches_reference(emb, labels, bank, LossConfig(neg_margin=1.2))
+        assert labels.min() < 0 and np.ptp(np.concatenate((labels, pool))) >= 2**62
+        assert loss > 0.0 and grad.any()
+        assert_matches_reference(np.eye(4)[:2], np.array([0, 2**62]), None, LossConfig())
+
     def test_empty_bank_is_no_bank(self):
         rng = np.random.default_rng(0)
         for trial in range(10):
