@@ -6,6 +6,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 
 from .datagen import TIER_NAMES, gen_world, load_world, write_world
@@ -46,6 +47,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     manifest = _manifest_from_args(args)
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        os.stat(args.out)  # fails, naming args.out, as the save after training would
     encoder, losses = train_encoder(load_world(args.world), manifest)
     encoder.save(args.out)
     print(json.dumps({"out": args.out, "stages": losses}))

@@ -197,6 +197,7 @@ def reproduce_trend(manifest: RunManifest) -> dict:
     Writes the world, encoder checkpoint, descriptor files, manifest, and
     both report forms under ``manifest.out_dir``; returns the report.
     """
+    Path(manifest.out_dir).mkdir(parents=True, exist_ok=True)
     return trend_report(train_and_embed(manifest), manifest)
 
 
@@ -243,6 +244,7 @@ def negative_swap(manifest: RunManifest) -> dict:
     The twin pool is a fresh draw from the same distribution as the
     training set, never seen during training; everything else is shared.
     """
+    Path(manifest.out_dir).mkdir(parents=True, exist_ok=True)
     return swap_report(train_and_embed(manifest), manifest)
 
 
