@@ -33,38 +33,21 @@ from copydet import (
     trend_report,
 )
 
-from bank_oracle import bank_contents
+from oracles import (
+    ap_oracle,
+    bank_contents,
+    negsub_oracle,
+    recall_oracle,
+    topk_oracle,
+    unit_rows,
+    unit_set,
+)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
 
 def _report(criterion, message):
     print(f"PASS criterion {criterion}: {message}")
-
-
-def unit_rows(rng, count, dim):
-    m = rng.standard_normal((count, dim))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
-def unit_set(rng, count, dim, prefix="v"):
-    return EmbeddingSet(
-        tuple(f"{prefix}{i}" for i in range(count)),
-        unit_rows(rng, count, dim).astype(np.float32),
-    )
-
-
-def negsub_oracle(x, neg_matrix, n, k, beta):
-    """Independent step-by-step reference with a full-sort neighbor search."""
-    y = np.asarray(x, dtype=np.float64).copy()
-    neg = np.asarray(neg_matrix, dtype=np.float64)
-    for _ in range(n):
-        scores = neg @ y
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        for i in order[: min(k, len(scores))]:
-            y = y - (beta / k) * neg[i]
-        y = y / np.linalg.norm(y)
-    return y
 
 
 @pytest.fixture(scope="module")
@@ -164,8 +147,8 @@ class TestCriterion3KnnExactness:
             q = unit_rows(rng, 1, dim)[0]
             got_idx, got_scores = topk(q, db, k)
             scores = db.matrix.astype(np.float64) @ q
-            order = np.lexsort((np.arange(count), -scores))[: min(k, count)]
-            assert got_idx.tolist() == list(order)
+            order = topk_oracle(scores, k)
+            assert got_idx.tolist() == order.tolist()
             np.testing.assert_allclose(
                 got_scores, scores[order], atol=1e-6
             )
@@ -297,25 +280,6 @@ class TestCriterion5MemoryBankSemantics:
 
 
 class TestCriterion6MetricCorrectness:
-    @staticmethod
-    def _ap_oracle(entries, gt_pairs, positives):
-        total = 0.0
-        for r in range(1, len(entries) + 1):
-            q, ref, _ = entries[r - 1]
-            if (q, ref) in gt_pairs:
-                tp = sum(1 for (q2, r2, _) in entries[:r] if (q2, r2) in gt_pairs)
-                total += tp / r
-        return total / positives
-
-    @staticmethod
-    def _recall_oracle(entries, gt_pairs, positives, p):
-        best = 0.0
-        for r in range(1, len(entries) + 1):
-            tp = sum(1 for (q2, r2, _) in entries[:r] if (q2, r2) in gt_pairs)
-            if tp / r >= p:
-                best = max(best, tp / positives)
-        return best
-
     def test_oracles_hand_cases_and_invariance(self):
         rng = np.random.default_rng(66)
         for _ in range(100):
@@ -328,13 +292,13 @@ class TestCriterion6MetricCorrectness:
             gt = GroundTruth.from_pairs(gt_pairs)
             np.testing.assert_allclose(
                 micro_ap(ranked, gt),
-                self._ap_oracle(ranked.entries, gt_pairs, len(gt_pairs)),
+                ap_oracle(ranked.entries, gt_pairs, len(gt_pairs)),
                 atol=1e-12,
             )
             for p in (0.5, 0.9):
                 np.testing.assert_allclose(
                     recall_at_precision(ranked, gt, p),
-                    self._recall_oracle(ranked.entries, gt_pairs, len(gt_pairs), p),
+                    recall_oracle(ranked.entries, gt_pairs, len(gt_pairs), p),
                     atol=1e-12,
                 )
 

@@ -20,6 +20,8 @@ from copydet import (
 )
 from copydet.embedding import _check_ids, normalize_rows
 
+from oracles import unit_set
+
 # Each example overwrites the same files, so sharing tmp_path is safe.
 _FILE_PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -140,17 +142,10 @@ class TestEmbeddingSet:
         np.testing.assert_array_equal(es.row(1), [0.0, 1.0])
 
 
-def _random_unit_set(rng, count, dim):
-    mat = rng.standard_normal((count, dim))
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    ids = tuple(f"v{i}" for i in range(count))
-    return EmbeddingSet(ids, mat.astype(np.float32))
-
-
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        es = _random_unit_set(rng, 3, 4)
+        es = unit_set(rng, 3, 4)
         path = tmp_path / "set.emb"
         write_embeddings(es, path)
         got = read_embeddings(path)
@@ -161,7 +156,7 @@ class TestSerialization:
     def test_round_trip_degenerate_shapes(self, tmp_path):
         for count, dim in [(1, 1), (1, 7), (5, 1)]:
             rng = np.random.default_rng(count * 10 + dim)
-            es = _random_unit_set(rng, count, dim)
+            es = unit_set(rng, count, dim)
             path = tmp_path / f"s{count}x{dim}.emb"
             write_embeddings(es, path)
             got = read_embeddings(path)
@@ -194,7 +189,7 @@ class TestSerialization:
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.emb"
-        es = _random_unit_set(np.random.default_rng(1), 2, 2)
+        es = unit_set(np.random.default_rng(1), 2, 2)
         write_embeddings(es, path)
         blob = path.read_bytes()
         path.write_bytes(b"XXXX" + blob[4:])
@@ -203,7 +198,7 @@ class TestSerialization:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "bad.emb"
-        write_embeddings(_random_unit_set(np.random.default_rng(1), 2, 2), path)
+        write_embeddings(unit_set(np.random.default_rng(1), 2, 2), path)
         blob = bytearray(path.read_bytes())
         blob[4] = 9
         path.write_bytes(bytes(blob))
@@ -213,7 +208,7 @@ class TestSerialization:
     def test_truncated_payload(self, tmp_path):
         # Header says 5 rows, payload holds 4.
         path = tmp_path / "short.emb"
-        es = _random_unit_set(np.random.default_rng(2), 5, 4)
+        es = unit_set(np.random.default_rng(2), 5, 4)
         write_embeddings(es, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 4 * 4])
@@ -222,7 +217,7 @@ class TestSerialization:
 
     def test_header_dim_disagrees_with_row_size(self, tmp_path):
         path = tmp_path / "dim.emb"
-        es = _random_unit_set(np.random.default_rng(3), 4, 8)
+        es = unit_set(np.random.default_rng(3), 4, 8)
         write_embeddings(es, path)
         blob = bytearray(path.read_bytes())
         blob[8:12] = (5).to_bytes(4, "little")  # dim 8 -> 5, payload unchanged
@@ -232,14 +227,14 @@ class TestSerialization:
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "noids.emb"
-        write_embeddings(_random_unit_set(np.random.default_rng(4), 2, 2), path)
+        write_embeddings(unit_set(np.random.default_rng(4), 2, 2), path)
         path.with_suffix(".ids").unlink()
         with pytest.raises(FormatError, match="sidecar"):
             read_embeddings(path)
 
     def test_sidecar_line_count_mismatch(self, tmp_path):
         path = tmp_path / "ids.emb"
-        write_embeddings(_random_unit_set(np.random.default_rng(5), 2, 2), path)
+        write_embeddings(unit_set(np.random.default_rng(5), 2, 2), path)
         path.with_suffix(".ids").write_text("only_one\n", encoding="utf-8")
         with pytest.raises(FormatError, match="lines"):
             read_embeddings(path)
@@ -256,7 +251,7 @@ class TestSerialization:
 
     def test_sidecar_not_utf8(self, tmp_path):
         path = tmp_path / "enc.emb"
-        write_embeddings(_random_unit_set(np.random.default_rng(6), 1, 2), path)
+        write_embeddings(unit_set(np.random.default_rng(6), 1, 2), path)
         path.with_suffix(".ids").write_bytes(b"\xff\n")
         with pytest.raises(FormatError, match=r"enc\.ids: not UTF-8"):
             read_embeddings(path)

@@ -22,26 +22,7 @@ from copydet import (
 from copydet.cli import main
 from copydet.metrics import write_gt_csv
 
-
-def ap_oracle(entries, gt_pairs, positives):
-    """Counting oracle: precision recomputed from scratch at every rank."""
-    total = 0.0
-    for r in range(1, len(entries) + 1):
-        q, ref, _ = entries[r - 1]
-        if (q, ref) in gt_pairs:
-            tp = sum(1 for (q2, r2, _) in entries[:r] if (q2, r2) in gt_pairs)
-            total += tp / r
-    return total / positives
-
-
-def recall_oracle(entries, gt_pairs, positives, p):
-    """Counting oracle: scan every cutoff, keep the best qualifying recall."""
-    best = 0.0
-    for r in range(1, len(entries) + 1):
-        tp = sum(1 for (q2, r2, _) in entries[:r] if (q2, r2) in gt_pairs)
-        if tp / r >= p:
-            best = max(best, tp / positives)
-    return best
+from oracles import ap_oracle, recall_oracle
 
 
 def ranking(*pairs_with_flags):

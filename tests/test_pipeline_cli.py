@@ -590,6 +590,27 @@ class TestCli:
         )
         assert not missing.exists()
 
+    @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
+    def test_unusable_out_dir_exit_2_before_world(self, tmp_path, capsys, monkeypatch, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a world was drawn")
+
+        monkeypatch.setattr("copydet.pipeline.train_and_embed", unreachable)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "run"
+        assert main([command, "--seed", "0", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"copydet: [Errno 20] Not a directory: '{out}'\n"
+
+    def test_train_out_in_missing_directory_exit_2_before_world(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a world was loaded")
+
+        monkeypatch.setattr("copydet.cli.load_world", unreachable)
+        out = tmp_path / "missing" / "e.bin"
+        assert main(["train", "--world", str(tmp_path / "world"), "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"copydet: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["embed", "--encoder", str(tmp_path / "none.bin"),
                    "--in", str(tmp_path / "none.emb"), "--out", str(tmp_path / "o.emb")])

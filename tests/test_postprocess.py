@@ -15,24 +15,7 @@ from copydet import (
 from copydet.postprocess import _subtract_rows
 from copydet.search import row_blocks
 
-
-def negsub_oracle(x, neg_matrix, n, k, beta):
-    """Step-by-step reference: full-sort neighbor search redone per iteration."""
-    y = np.asarray(x, dtype=np.float64).copy()
-    neg = np.asarray(neg_matrix, dtype=np.float64)
-    for _ in range(n):
-        scores = neg @ y
-        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-        for i in order[: min(k, len(scores))]:
-            y = y - (beta / k) * neg[i]
-        y = y / np.linalg.norm(y)
-    return y
-
-
-def unit_set(rng, count, dim, prefix="n"):
-    mat = rng.standard_normal((count, dim))
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    return EmbeddingSet(tuple(f"{prefix}{i}" for i in range(count)), mat.astype(np.float32))
+from oracles import negsub_oracle, unit_set
 
 
 class TestSubtractNegatives:

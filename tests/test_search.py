@@ -9,24 +9,7 @@ from hypothesis.extra import numpy as hnp
 from copydet import DimMismatch, EmbeddingSet, topk, topk_batch
 from copydet.search import _BLOCK_BYTES, row_blocks, select_topk
 
-
-def brute_force_topk(query, matrix, k):
-    """Quadratic oracle: score every row in float64, full sort, index tie-break."""
-    scores = matrix.astype(np.float64) @ np.asarray(query, dtype=np.float64)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return [(i, scores[i]) for i in order[: min(k, len(scores))]]
-
-
-def lexsort_topk(scores, k):
-    """Full-sort oracle for a score block: per row, score descending then index."""
-    n = scores.shape[1]
-    return np.stack([np.lexsort((np.arange(n), -row))[: min(k, n)] for row in scores])
-
-
-def unit_set(rng, count, dim, prefix="r"):
-    mat = rng.standard_normal((count, dim))
-    mat /= np.linalg.norm(mat, axis=1, keepdims=True)
-    return EmbeddingSet(tuple(f"{prefix}{i}" for i in range(count)), mat.astype(np.float32))
+from oracles import topk_oracle, unit_set
 
 
 class TestTopk:
@@ -63,12 +46,11 @@ class TestTopk:
         for _ in range(20):
             q = rng.standard_normal(16)
             q /= np.linalg.norm(q)
-            idx, scores = topk(q, db, 10)
-            want = brute_force_topk(q, db.matrix, 10)
-            assert idx.tolist() == [i for i, _ in want]
-            np.testing.assert_allclose(
-                scores, [s for _, s in want], atol=1e-6
-            )
+            idx, got = topk(q, db, 10)
+            scores = db.matrix.astype(np.float64) @ q
+            order = topk_oracle(scores, 10)
+            assert idx.tolist() == order.tolist()
+            np.testing.assert_allclose(got, scores[order], atol=1e-6)
 
     def test_monotone_superset_in_k(self):
         rng = np.random.default_rng(3)
@@ -172,7 +154,7 @@ class TestSelectTopk:
         scores = rng.standard_normal((24, n))
         scores[::2] = np.round(scores[::2] * 2) / 2
         for k in sorted({1, 3, max(n - 1, 1), n, n + 5}):
-            np.testing.assert_array_equal(select_topk(scores, min(k, n)), lexsort_topk(scores, k))
+            np.testing.assert_array_equal(select_topk(scores, min(k, n)), topk_oracle(scores, k))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -182,7 +164,7 @@ class TestSelectTopk:
     )
     def test_small_integer_scores_match_full_sort(self, scores, k):
         np.testing.assert_array_equal(
-            select_topk(scores, min(k, scores.shape[1])), lexsort_topk(scores, k)
+            select_topk(scores, min(k, scores.shape[1])), topk_oracle(scores, k)
         )
 
     def test_ties_across_several_blocks(self):
@@ -195,8 +177,8 @@ class TestSelectTopk:
         assert len(list(row_blocks(queries.count, db.count))) > 1
         idx, _ = topk_batch(queries, db, 12)
         for qi in range(queries.count):
-            want = brute_force_topk(queries.row(qi), db.matrix, 12)
-            assert idx[qi].tolist() == [i for i, _ in want]
+            want = topk_oracle(db.matrix.astype(np.float64) @ queries.row(qi), 12)
+            np.testing.assert_array_equal(idx[qi], want)
 
     def test_winners_only_in_tail_columns(self):
         # Groups cover the first g * (n // g) columns: 192 of 200 at m = 3
@@ -208,7 +190,7 @@ class TestSelectTopk:
             scores[:, tail:] = 2.0 + rng.integers(0, 3, (6, n - tail))
             idx = select_topk(scores, m)
             assert idx.min() >= tail
-            np.testing.assert_array_equal(idx, lexsort_topk(scores, m))
+            np.testing.assert_array_equal(idx, topk_oracle(scores, m))
 
     @pytest.mark.parametrize("n", [5, 33, 63])
     def test_fewer_columns_than_groups(self, n):
@@ -217,13 +199,13 @@ class TestSelectTopk:
         rng = np.random.default_rng(n)
         scores = np.round(rng.standard_normal((10, n)) * 2) / 2
         for m in sorted({1, 2, n // 2 or 1, n - 1 or 1, n}):
-            np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+            np.testing.assert_array_equal(select_topk(scores, m), topk_oracle(scores, m))
 
     @pytest.mark.parametrize("n", [1, 64, 100, 300])
     def test_m_equals_n(self, n):
         rng = np.random.default_rng(n)
         scores = rng.integers(-2, 3, (5, n)).astype(float)
-        np.testing.assert_array_equal(select_topk(scores, n), lexsort_topk(scores, n))
+        np.testing.assert_array_equal(select_topk(scores, n), topk_oracle(scores, n))
 
     @pytest.mark.parametrize("n, m", [(1, 1), (50, 7), (4096, 10), (4097, 40)])
     def test_every_score_in_a_row_tied(self, n, m):
@@ -240,7 +222,7 @@ class TestSelectTopk:
         scores[:, 7::64] = 5.0 + rng.integers(0, 4, (8, 8))
         idx = select_topk(scores, 5)
         assert np.all(idx % 64 == 7)
-        np.testing.assert_array_equal(idx, lexsort_topk(scores, 5))
+        np.testing.assert_array_equal(idx, topk_oracle(scores, 5))
 
     def test_ties_straddling_the_mth_score_across_groups(self):
         # At n = 2048, m = 10 there are 64 groups of the columns j + 64 i.
@@ -254,7 +236,7 @@ class TestSelectTopk:
             row[cols[:6]] = 3.0 + np.arange(6)
             row[cols[6:]] = 2.0
         idx = select_topk(scores, 10)
-        np.testing.assert_array_equal(idx, lexsort_topk(scores, 10))
+        np.testing.assert_array_equal(idx, topk_oracle(scores, 10))
         assert np.all(scores[np.arange(6), idx[:, -1]] == 2.0)
 
     @settings(max_examples=60, deadline=None)
@@ -273,7 +255,7 @@ class TestSelectTopk:
             scores = rng.integers(0, levels, (3, n)).astype(float)
         else:
             scores = rng.standard_normal((3, n))
-        np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+        np.testing.assert_array_equal(select_topk(scores, m), topk_oracle(scores, m))
 
     @pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 8193])
     @pytest.mark.parametrize("b", [1, 16, 32, 128])
@@ -293,7 +275,7 @@ class TestSelectTopk:
         saved = np.setbufsize(4096)
         try:
             for m in sorted({1, min(10, n)}):
-                np.testing.assert_array_equal(select_topk(scores, m), lexsort_topk(scores, m))
+                np.testing.assert_array_equal(select_topk(scores, m), topk_oracle(scores, m))
                 assert np.getbufsize() == 4096
         finally:
             np.setbufsize(saved)

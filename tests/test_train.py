@@ -30,12 +30,7 @@ from copydet import (
     substream,
 )
 
-from bank_oracle import bank_contents
-
-
-def unit_rows(rng, count, dim):
-    m = rng.standard_normal((count, dim))
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
+from oracles import bank_contents, unit_rows
 
 
 def pair_at_distance(d):
