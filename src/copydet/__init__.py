@@ -9,6 +9,7 @@ from .datagen import (
     TIERS,
     AugmentTier,
     SyntheticWorld,
+    WorldConfig,
     augment_batch,
     gen_world,
     get_tier,
@@ -84,6 +85,7 @@ __all__ = [
     "SyntheticWorld",
     "TIERS",
     "TOOL_VERSION",
+    "WorldConfig",
     "ZeroVector",
     "augment_batch",
     "build_candidates",

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import sys
+from dataclasses import fields
 
-from .datagen import TIER_NAMES, gen_world, load_world, write_world
+from .datagen import TIER_NAMES, WorldConfig, gen_world, load_world, write_world
 from .embedding import read_embeddings, read_text, write_embeddings
 from .errors import CopyDetError, FormatError
 from .metrics import build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
@@ -39,7 +39,7 @@ def _given(args, names) -> dict:
 
 
 def _cmd_gen_data(args) -> int:
-    world = gen_world(**_given(args, inspect.signature(gen_world).parameters))
+    world = gen_world(args.seed, WorldConfig(**_given(args, {f.name for f in fields(WorldConfig)})))
     write_world(world, args.out_dir)
     print(json.dumps({"out_dir": args.out_dir, "positives": world.gt.positives}))
     return 0
@@ -106,7 +106,7 @@ def _cmd_run(args) -> int:
 
 
 def _add_world_flags(p: argparse.ArgumentParser, tier_flag: str) -> None:
-    # Unset flags are None: gen-data leaves them to gen_world, a run to RunManifest.
+    # Unset flags are None: gen-data leaves them to WorldConfig, a run to RunManifest.
     p.add_argument("--seed", type=int, required=True, help="master seed for all sub-streams")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--n-train", type=int, default=None)
@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, OSError) as exc:
         print(f"copydet: {exc}", file=sys.stderr)
         return 2
-    except (CopyDetError, ValueError) as exc:
+    except (CopyDetError, ValueError, OverflowError, MemoryError) as exc:
         print(f"copydet: {exc}", file=sys.stderr)
         return 1
 

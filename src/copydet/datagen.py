@@ -127,30 +127,55 @@ class SyntheticWorld:
         return self.training.dim
 
 
-def gen_world(
-    seed: int,
-    n_train: int = 4096,
-    n_ref: int = 4096,
-    n_query: int = 512,
-    d_in: int = 64,
-    copy_rate: float = 0.25,
-    tier: str = "strong",
-) -> SyntheticWorld:
+@dataclass(frozen=True)
+class WorldConfig:
+    """The settings of a synthetic world, checked when it is built.
+
+    Raises ValueError naming the first size or the copy rate that is out
+    of range, when the copies outnumber the references they are drawn
+    from without replacement, or for an unknown tier.
+    """
+
+    n_train: int = 4096
+    n_ref: int = 4096
+    n_query: int = 1024
+    d_in: int = 64
+    copy_rate: float = 0.25
+    tier: str = "strong"
+
+    def __post_init__(self) -> None:
+        for name in ("n_train", "n_ref", "n_query", "d_in"):
+            check_at_least(name, getattr(self, name), 1)
+        if not 0.0 <= self.copy_rate <= 1.0:
+            raise ValueError(f"copy_rate must be in [0, 1], got {self.copy_rate}")
+        if self.n_copy > self.n_ref:
+            raise ValueError(
+                f"copy_rate {self.copy_rate} of n_query {self.n_query} gives {self.n_copy} copy queries, "
+                f"more than n_ref {self.n_ref}"
+            )
+        get_tier(self.tier)
+
+    @property
+    def n_copy(self) -> int:
+        """The number of copy queries."""
+        return int(round(self.copy_rate * self.n_query))
+
+
+def gen_world(seed: int, world: WorldConfig = WorldConfig()) -> SyntheticWorld:
     """Generate a seeded world; identical seeds yield bit-identical worlds.
 
     Copy queries are transforms of distinct reference rows at the given
     tier; the remaining queries are fresh draws (distractors) from the same
     distribution as the references.
     """
-    n_copy = check_world_settings(n_train, n_ref, n_query, d_in, copy_rate)
-    tier_cfg = get_tier(tier)
+    n_query, d_in, n_copy = world.n_query, world.d_in, world.n_copy
     rng = substream(seed, "world")
 
-    train = rng.standard_normal((n_train, d_in))
-    ref = rng.standard_normal((n_ref, d_in))
+    train = rng.standard_normal((world.n_train, d_in))
+    ref = rng.standard_normal((world.n_ref, d_in))
 
-    src = rng.choice(n_ref, size=n_copy, replace=False)
-    copies = augment_batch(ref[src], tier_cfg, rng)
+    src = rng.choice(world.n_ref, size=n_copy, replace=False)
+    copies = augment_batch(ref[src], get_tier(world.tier), rng)
     distractors = rng.standard_normal((n_query - n_copy, d_in))
 
     # Interleave copies and distractors so consumers cannot rely on order.
@@ -166,29 +191,10 @@ def gen_world(
     return SyntheticWorld(raw_set("T", train), reference, query_set, gt)
 
 
-def check_world_settings(n_train: int, n_ref: int, n_query: int, d_in: int, copy_rate: float) -> int:
-    """The number of copy queries of :func:`gen_world`'s settings.
-
-    Raises ValueError naming the first size or the copy rate that is out
-    of range, or when the copies outnumber the references they are drawn
-    from without replacement.
-    """
-    for name, n in (("n_train", n_train), ("n_ref", n_ref), ("n_query", n_query), ("d_in", d_in)):
-        check_at_least(name, n, 1)
-    if not 0.0 <= copy_rate <= 1.0:
-        raise ValueError(f"copy_rate must be in [0, 1], got {copy_rate}")
-    n_copy = int(round(copy_rate * n_query))
-    if n_copy > n_ref:
-        raise ValueError(
-            f"copy_rate {copy_rate} of n_query {n_query} gives {n_copy} copy queries, more than n_ref {n_ref}"
-        )
-    return n_copy
-
-
-def twin_pool(seed: int, n: int, d_in: int) -> EmbeddingSet:
-    """``n`` raw rows from the training distribution, drawn from the seed's
-    "eval" stream: a pool disjoint from the world's training set."""
-    return raw_set("W", substream(seed, "eval").standard_normal((n, d_in)))
+def twin_pool(seed: int, world: WorldConfig) -> EmbeddingSet:
+    """``world.n_train`` raw rows from the training distribution, drawn from
+    the seed's "eval" stream: a pool disjoint from the world's training set."""
+    return raw_set("W", substream(seed, "eval").standard_normal((world.n_train, world.d_in)))
 
 
 def raw_set(prefix: str, rows: np.ndarray) -> EmbeddingSet:

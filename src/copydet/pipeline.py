@@ -14,15 +14,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .datagen import (
-    TIER_NAMES,
-    SyntheticWorld,
-    check_world_settings,
-    gen_world,
-    substream,
-    twin_pool,
-    write_world,
-)
+from .datagen import SyntheticWorld, WorldConfig, gen_world, substream, twin_pool, write_world
 from .embedding import EmbeddingSet, write_bytes_atomic, write_embeddings
 from .errors import check_at_least
 from .metrics import build_candidates, evaluate
@@ -48,12 +40,12 @@ class RunManifest:
 
     seed: int
     out_dir: str
-    n_train: int = 4096
-    n_ref: int = 4096
-    n_query: int = 1024
-    d_in: int = 64
-    copy_rate: float = 0.25
-    world_tier: str = "strong"
+    n_train: int = WorldConfig.n_train
+    n_ref: int = WorldConfig.n_ref
+    n_query: int = WorldConfig.n_query
+    d_in: int = WorldConfig.d_in
+    copy_rate: float = WorldConfig.copy_rate
+    world_tier: str = WorldConfig.tier
     encoder_dim: int = 32
     encoder_hidden: int = 0
     bank_capacity: int = 2048
@@ -74,13 +66,11 @@ class RunManifest:
             raise ValueError(
                 f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
             )
-        if check_world_settings(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate) == 0:
+        if self.world_config().n_copy == 0:
             # micro_ap is undefined without a true pair.
             raise ValueError(
                 f"copy_rate {self.copy_rate} of n_query {self.n_query} gives 0 copy queries; a run needs at least 1"
             )
-        if self.world_tier not in TIER_NAMES:
-            raise ValueError(f"world_tier must be one of {TIER_NAMES}, got {self.world_tier!r}")
         for name, low in (("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0),
                           ("bank_capacity", 0), ("momentum", 0)):
             check_at_least(name, getattr(self, name), low)
@@ -104,6 +94,9 @@ class RunManifest:
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def world_config(self) -> WorldConfig:
+        return WorldConfig(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate, self.world_tier)
 
     def negsub_config(self) -> NegSubConfig:
         return NegSubConfig(n=self.negsub_n, k=self.negsub_k, beta=self.negsub_beta)
@@ -147,15 +140,7 @@ def train_encoder(
 
 def train_and_embed(manifest: RunManifest) -> TrainedRun:
     """World generation plus the staged schedule, evaluating after each stage."""
-    world = gen_world(
-        seed=manifest.seed,
-        n_train=manifest.n_train,
-        n_ref=manifest.n_ref,
-        n_query=manifest.n_query,
-        d_in=manifest.d_in,
-        copy_rate=manifest.copy_rate,
-        tier=manifest.world_tier,
-    )
+    world = gen_world(manifest.seed, manifest.world_config())
     stage_rows: list[dict] = []
 
     def evaluate_stage(encoder, stage, stage_metrics):
@@ -253,7 +238,7 @@ def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
     :func:`trend_report`."""
     baseline = evaluate(build_candidates(run.query_emb, run.ref_emb, manifest.per_query_k), run.world.gt)
     training, _, _ = _postprocess_eval(run, run.train_emb, manifest)
-    twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.n_train, manifest.d_in))
+    twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.world_config()))
     twin, _, _ = _postprocess_eval(run, twin_emb, manifest)
     return _write_report(
         "negative-swap", run, manifest,

@@ -5,6 +5,7 @@ import pytest
 
 from copydet import (
     TIERS,
+    WorldConfig,
     augment_batch,
     gen_world,
     get_tier,
@@ -12,6 +13,7 @@ from copydet import (
     substream,
     write_world,
 )
+from copydet.datagen import twin_pool
 
 
 def mean_pairwise_cosine(matrix):
@@ -69,14 +71,40 @@ class TestAugmentOneRow:
             get_tier("extreme")
 
 
+class TestWorldConfig:
+    @pytest.mark.parametrize("settings, message", [
+        (dict(n_train=0), "n_train must be >= 1, got 0"),
+        (dict(n_ref=0), "n_ref must be >= 1, got 0"),
+        (dict(n_query=-2), "n_query must be >= 1, got -2"),
+        (dict(d_in=0), "d_in must be >= 1, got 0"),
+        (dict(copy_rate=1.5), "copy_rate must be in [0, 1], got 1.5"),
+        (dict(copy_rate=float("nan")), "copy_rate must be in [0, 1], got nan"),
+        (dict(n_ref=8, n_query=64), "copy_rate 0.25 of n_query 64 gives 16 copy queries, more than n_ref 8"),
+        (dict(tier="bogus"), "unknown tier 'bogus', expected one of ('none', 'weak', 'intermediate', 'strong')"),
+    ])
+    def test_bad_settings_rejected(self, settings, message):
+        with pytest.raises(ValueError) as exc:
+            WorldConfig(**settings)
+        assert str(exc.value) == message
+
+    def test_default_world(self):
+        world = gen_world(3)
+        assert world.queries.count == 1024 and world.gt.positives == 256 == WorldConfig().n_copy
+
+    def test_twin_pool_draws_the_eval_stream(self):
+        pool = twin_pool(4, WorldConfig(n_train=64, d_in=8))
+        expected = substream(4, "eval").standard_normal((64, 8)).astype(np.float32)
+        assert pool.ids[0] == "W000000" and pool.matrix.tobytes() == expected.tobytes()
+
+
 class TestGenWorld:
     def test_copy_rate_zero_empty_gt(self):
-        world = gen_world(seed=1, n_train=32, n_ref=32, n_query=16, d_in=8, copy_rate=0.0)
+        world = gen_world(1, WorldConfig(n_train=32, n_ref=32, n_query=16, d_in=8, copy_rate=0.0))
         assert world.gt.positives == 0
 
     def test_copy_rate_one_tier_none_exact_copies(self):
         world = gen_world(
-            seed=2, n_train=32, n_ref=64, n_query=16, d_in=8, copy_rate=1.0, tier="none"
+            2, WorldConfig(n_train=32, n_ref=64, n_query=16, d_in=8, copy_rate=1.0, tier="none")
         )
         assert world.gt.positives == 16
         rpos = {rid: i for i, rid in enumerate(world.reference.ids)}
@@ -87,25 +115,25 @@ class TestGenWorld:
             )
 
     def test_seed_determinism_bit_identical(self):
-        a = gen_world(seed=5, n_train=64, n_ref=64, n_query=16, d_in=8)
-        b = gen_world(seed=5, n_train=64, n_ref=64, n_query=16, d_in=8)
+        a = gen_world(5, WorldConfig(n_train=64, n_ref=64, n_query=16, d_in=8))
+        b = gen_world(5, WorldConfig(n_train=64, n_ref=64, n_query=16, d_in=8))
         assert a.gt == b.gt
         for x, y in [(a.training, b.training), (a.reference, b.reference), (a.queries, b.queries)]:
             assert x.ids == y.ids
             assert x.matrix.tobytes() == y.matrix.tobytes()
 
     def test_different_seeds_differ(self):
-        a = gen_world(seed=5, n_train=16, n_ref=16, n_query=8, d_in=8)
-        b = gen_world(seed=6, n_train=16, n_ref=16, n_query=8, d_in=8)
+        a = gen_world(5, WorldConfig(n_train=16, n_ref=16, n_query=8, d_in=8))
+        b = gen_world(6, WorldConfig(n_train=16, n_ref=16, n_query=8, d_in=8))
         assert a.training.matrix.tobytes() != b.training.matrix.tobytes()
 
     def test_at_most_one_gt_per_query(self):
-        world = gen_world(seed=3, n_train=32, n_ref=64, n_query=32, d_in=8, copy_rate=0.8)
+        world = gen_world(3, WorldConfig(n_train=32, n_ref=64, n_query=32, d_in=8, copy_rate=0.8))
         queries = [q for q, _ in world.gt.pairs]
         assert len(queries) == len(set(queries))
 
     def test_training_reference_disjoint(self):
-        world = gen_world(seed=4, n_train=128, n_ref=128, n_query=16, d_in=8)
+        world = gen_world(4, WorldConfig(n_train=128, n_ref=128, n_query=16, d_in=8))
         train_rows = {row.tobytes() for row in world.training.matrix}
         ref_rows = {row.tobytes() for row in world.reference.matrix}
         assert not train_rows & ref_rows
@@ -116,7 +144,7 @@ class TestGenWorld:
         # band obtained by resampling a single set against itself.
         deltas, null_deltas = [], []
         for seed in range(5):
-            world = gen_world(seed=seed, n_train=512, n_ref=512, n_query=8, d_in=16)
+            world = gen_world(seed, WorldConfig(n_train=512, n_ref=512, n_query=8, d_in=16))
             t = mean_pairwise_cosine(world.training.matrix)
             r = mean_pairwise_cosine(world.reference.matrix)
             deltas.append(abs(t - r))
@@ -135,7 +163,7 @@ class TestGenWorld:
 
 class TestWorldIO:
     def test_write_load_round_trip(self, tmp_path):
-        world = gen_world(seed=9, n_train=32, n_ref=32, n_query=16, d_in=8, copy_rate=0.5)
+        world = gen_world(9, WorldConfig(n_train=32, n_ref=32, n_query=16, d_in=8, copy_rate=0.5))
         write_world(world, tmp_path)
         loaded = load_world(tmp_path)
         assert loaded.gt == world.gt
@@ -144,7 +172,7 @@ class TestWorldIO:
         assert not loaded.training.unit_norm
 
     def test_failed_replace_keeps_old_gt_and_leaves_no_temp(self, tmp_path, monkeypatch):
-        write_world(gen_world(seed=9, n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=0.5), tmp_path)
+        write_world(gen_world(9, WorldConfig(n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=0.5)), tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         real_replace = os.replace
 
@@ -154,7 +182,7 @@ class TestWorldIO:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", fail_on_gt)
-        other = gen_world(seed=10, n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=1.0)
+        other = gen_world(10, WorldConfig(n_train=8, n_ref=8, n_query=8, d_in=4, copy_rate=1.0))
         with pytest.raises(OSError, match="disk full"):
             write_world(other, tmp_path)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

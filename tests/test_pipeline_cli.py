@@ -11,6 +11,7 @@ from copydet import (
     NegSubConfig,
     RunManifest,
     StageConfig,
+    WorldConfig,
     build_candidates,
     load_world,
     micro_ap,
@@ -99,8 +100,11 @@ class TestManifest:
             tiny_manifest(tmp_path, postprocess_targets="everything")
 
     def test_bad_world_tier_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match=r"^world_tier must be one of \(.*\), got 'bogus'$"):
+        with pytest.raises(ValueError, match=r"^unknown tier 'bogus', expected one of \(.*\)$"):
             tiny_manifest(tmp_path, world_tier="bogus")
+
+    def test_world_defaults_are_world_config_defaults(self):
+        assert RunManifest(seed=0, out_dir="").world_config() == WorldConfig()
 
 
 class TestReproduceTrend:
@@ -218,6 +222,8 @@ _INVALID_SETTINGS = [
     (["gen-data", "--n-train", "0"], "n_train must be >= 1, got 0"),
     (["gen-data", "--n-query", "-2"], "n_query must be >= 1, got -2"),
     (["gen-data", "--dim", "0"], "d_in must be >= 1, got 0"),
+    (["gen-data", "--n-ref", "0"], "n_ref must be >= 1, got 0"),
+    (["gen-data", "--copy-rate", "nan"], "copy_rate must be in [0, 1], got nan"),
     (["reproduce-trend", "--dim", "0"], "d_in must be >= 1, got 0"),
     (["reproduce-trend", "--copy-rate", "1.5"], "copy_rate must be in [0, 1], got 1.5"),
     (["train", "--dim", "0"], "encoder_dim must be >= 1, got 0"),
@@ -728,6 +734,21 @@ class TestCli:
         assert main(argv + ["--seed", "1"]) == 1
         assert capsys.readouterr().err == f"copydet: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "reproduce-trend"])
+    def test_overflowing_size_exit_1_before_world(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--seed", "0", "--out-dir", str(out), "--n-query", str(10**400)]) == 1
+        assert capsys.readouterr().err == "copydet: int too large to convert to float\n"
+        assert not out.exists()
+
+    def test_failed_allocation_exit_1(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB")
+
+        monkeypatch.setattr("copydet.cli.gen_world", out_of_memory)
+        assert main(["gen-data", "--seed", "0", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "copydet: Unable to allocate 2.91 TiB\n"
 
     def test_nan_momentum_or_lr_rejected_before_world(self, tmp_path, monkeypatch):
         def unreachable(*args, **kwargs):

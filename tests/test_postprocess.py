@@ -6,6 +6,7 @@ from copydet import (
     EmbeddingSet,
     NegSubConfig,
     NonFiniteValue,
+    WorldConfig,
     ZeroVector,
     gen_world,
     subtract_negatives,
@@ -197,8 +198,7 @@ class TestIsolationEffect:
         cfg = NegSubConfig(n=1, k=10, beta=0.35)
         for seed in range(5):
             world = gen_world(
-                seed=seed, n_train=256, n_ref=256, n_query=64, d_in=16,
-                copy_rate=0.25, tier="strong",
+                seed, WorldConfig(n_train=256, n_ref=256, n_query=64, d_in=16, copy_rate=0.25, tier="strong")
             )
             negs_mat = world.training.matrix.astype(np.float64)
             negs_mat /= np.linalg.norm(negs_mat, axis=1, keepdims=True)

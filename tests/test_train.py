@@ -20,6 +20,7 @@ from copydet import (
     NonFiniteValue,
     ShapeMismatch,
     StageConfig,
+    WorldConfig,
     augment_batch,
     contrastive_loss,
     default_stage_schedule,
@@ -850,7 +851,7 @@ class TestAugmentBatch:
 
 class TestRunStage:
     def _world(self):
-        return gen_world(seed=21, n_train=64, n_ref=64, n_query=16, d_in=8, copy_rate=0.5)
+        return gen_world(21, WorldConfig(n_train=64, n_ref=64, n_query=16, d_in=8, copy_rate=0.5))
 
     def test_zero_epochs_unchanged(self):
         world = self._world()
@@ -885,7 +886,7 @@ class TestRunStage:
         # to float64. The stage widens only the rows of one block or batch,
         # the bank holds one copy of its entries, and the loss frees its
         # b x (b + m) distance block before the gradient.
-        world = gen_world(seed=3, n_train=4096, n_ref=4096, n_query=1024, d_in=64)
+        world = gen_world(3, WorldConfig(n_train=4096, n_ref=4096, n_query=1024, d_in=64))
         rng = substream(3, "train")
         enc = Encoder.init(64, 32, rng=rng)
         bank = MemoryBank(2048, 32)
@@ -944,7 +945,7 @@ class TestRunStage:
     def test_each_epoch_augments_every_item_once_per_view(self, monkeypatch):
         # 70 items in batches of 4: several augmentation blocks per epoch,
         # the last block and the last batch short.
-        world = gen_world(seed=22, n_train=70, n_ref=16, n_query=8, d_in=8)
+        world = gen_world(22, WorldConfig(n_train=70, n_ref=16, n_query=8, d_in=8))
         train_raw = world.training.matrix.astype(np.float64)
         index_of = {row.tobytes(): i for i, row in enumerate(train_raw)}
         real = copydet.train.augment_batch
