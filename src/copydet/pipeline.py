@@ -96,7 +96,8 @@ class RunManifest:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def world_config(self) -> WorldConfig:
-        return WorldConfig(self.n_train, self.n_ref, self.n_query, self.d_in, self.copy_rate, self.world_tier)
+        return WorldConfig(n_train=self.n_train, n_ref=self.n_ref, n_query=self.n_query, d_in=self.d_in,
+                           copy_rate=self.copy_rate, tier=self.world_tier)
 
     def negsub_config(self) -> NegSubConfig:
         return NegSubConfig(n=self.negsub_n, k=self.negsub_k, beta=self.negsub_beta)
