@@ -88,7 +88,7 @@ class MemoryBank:
     def push(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
         """Append entries in batch order, evicting FIFO past capacity."""
         emb = np.asarray(embeddings, dtype=np.float64)
-        labs = np.asarray(labels, dtype=np.int64)
+        labs = _integer_labels(labels).astype(np.int64, copy=False)
         if emb.ndim != 2 or emb.shape[1] != self.dim or emb.shape[0] != labs.shape[0]:
             raise ShapeMismatch(
                 f"push of {emb.shape} embeddings / {labs.shape} labels into "
@@ -132,44 +132,31 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def contrastive_loss(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    bank: MemoryBank | None,
-    cfg: LossConfig,
-) -> tuple[float, np.ndarray]:
-    """Mean hinge loss over all counted pairs, plus descriptor gradients.
-
-    Counted pairs are every in-batch pair i<j and every (batch, bank)
-    pair. Same-label pairs contribute max(0, d - pos_margin), different
-    labels max(0, neg_margin - d), with d the Euclidean distance. The mean
-    runs over all counted pairs, active or not. Returns the loss and the
-    gradient with respect to each batch embedding; bank entries get none.
-    ``bank=None`` is an empty bank.
-
-    Few pairs are active, so past the one distance gemm the work follows
-    the candidate pairs: the same-label ones, and the different-label ones
-    that one threshold pass finds inside the negative margin.
-    """
-    E = np.asarray(embeddings, dtype=np.float64)
+def _integer_labels(labels) -> np.ndarray:
+    # A float label would be truncated by the int64 store, merging items.
     labs = np.asarray(labels)
-    if E.ndim != 2 or E.shape[0] != labs.shape[0]:
-        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}")
+    if not np.issubdtype(labs.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labs.dtype}")
+    return labs
+
+
+def _loss_pairs(
+    E: np.ndarray, labs: np.ndarray, bank: MemoryBank, neg_margin: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loss's candidate pairs of a nonempty batch against [batch; bank].
+
+    Returns the [batch; bank] rows and, per candidate, its batch row, its
+    column in those rows, its Euclidean distance and whether it is a
+    positive. The positives are every off-diagonal same-label pair, in
+    flat (row, column) order. The negatives hold every different-label
+    pair inside ``neg_margin``, and a few just outside it.
+    """
     b = E.shape[0]
-    if b == 0:
-        raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    if bank is None:
-        bank = MemoryBank(0, E.shape[1])
-    dim = E.shape[1]
-    m = len(bank)
-    n = b + m
-    num_pairs = b * (b - 1) // 2 + b * m
-    if num_pairs == 0:
-        return 0.0, np.zeros_like(E)
     X, sq, X_labs = bank.with_batch(E, labs)
     # The candidate bound below holds for finite rows only.
     if not np.isfinite(sq).all():
         raise NonFiniteValue("non-finite embedding in the loss")
+    n = X.shape[0]
 
     # Same-label pairs, compared only in the columns whose label occurs in
     # the batch: the b x b block and a few bank entries. The diagonal is no
@@ -197,21 +184,61 @@ def contrastive_loss(
     # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
     # below the slack (no term exceeds 4 max |x|^2). So the candidates hold
     # every active negative; the exact hinge test runs on their distances.
-    nm2 = cfg.neg_margin * cfg.neg_margin
+    nm2 = neg_margin * neg_margin
     bound = nm2 - sq[:b].min() - sq.min() + 1e-9 * (nm2 + 4.0 * sq.max())
     mask = g < bound
     mask.reshape(-1)[same] = False
     pairs = np.concatenate((np.flatnonzero(mask), positives))
-    n_neg = pairs.size - positives.size
     rows, cols = np.divmod(pairs, n)
     dist = g.reshape(-1)[pairs] + sq[rows]
     dist += sq[cols]
-    # The b x (b + m) block and mask are spent; free them before the gradient.
+    # The b x (b + m) block and mask are spent; free them before the flags
+    # and the gradient allocate.
     del g, mask
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
-    hinge = cfg.neg_margin - dist
-    hinge[n_neg:] = dist[n_neg:] - cfg.pos_margin
+    positive = np.zeros(pairs.size, dtype=np.bool_)
+    positive[pairs.size - positives.size :] = True
+    return X, rows, cols, dist, positive
+
+
+def contrastive_loss(
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    bank: MemoryBank | None,
+    cfg: LossConfig,
+) -> tuple[float, np.ndarray]:
+    """Mean hinge loss over all counted pairs, plus descriptor gradients.
+
+    Counted pairs are every in-batch pair i<j and every (batch, bank)
+    pair. Same-label pairs contribute max(0, d - pos_margin), different
+    labels max(0, neg_margin - d), with d the Euclidean distance. The mean
+    runs over all counted pairs, active or not. Returns the loss and the
+    gradient with respect to each batch embedding; bank entries get none.
+    ``bank=None`` is an empty bank. Labels must be integers.
+
+    Few pairs are active, so past the one distance gemm the work follows
+    the candidate pairs that :func:`_loss_pairs` picks: the same-label
+    ones, and the different-label ones that one threshold pass finds
+    inside the negative margin. This function only reduces them.
+    """
+    E = np.asarray(embeddings, dtype=np.float64)
+    labs = np.asarray(labels)
+    if E.ndim != 2 or E.shape[0] != labs.shape[0]:
+        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}")
+    b = E.shape[0]
+    if b == 0:
+        raise EmptyBatch("contrastive_loss needs a nonempty batch")
+    labs = _integer_labels(labs)
+    dim = E.shape[1]
+    if bank is None:
+        bank = MemoryBank(0, dim)
+    m = len(bank)
+    num_pairs = b * (b - 1) // 2 + b * m
+    if num_pairs == 0:
+        return 0.0, np.zeros_like(E)
+    X, rows, cols, dist, positive = _loss_pairs(E, labs, bank, cfg.neg_margin)
+    hinge = np.where(positive, dist - cfg.pos_margin, cfg.neg_margin - dist)
     active = hinge > 0.0
 
     # Each active term contributes d(term)/d(dist) / dist as a
@@ -225,7 +252,7 @@ def contrastive_loss(
     # live pair bincount returns int64 zeros, hence the cast.
     live = np.flatnonzero(active & (dist > _GRAD_EPS))
     coef = 1.0 / dist[live]
-    coef[live >= n_neg] *= -1.0
+    coef[positive[live]] *= -1.0
     live_rows = rows[live]
     terms = X[cols[live]]
     terms -= E[live_rows]

@@ -36,6 +36,7 @@ from copydet import (
 from oracles import (
     ap_oracle,
     bank_contents,
+    central_differences,
     negsub_oracle,
     recall_oracle,
     topk_oracle,
@@ -202,21 +203,13 @@ class TestCriterion4GradientCorrectness:
                 neg_margin=float(rng.choice([0.8, 1.0, 1.4])),
             )
             _, grads, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-
-            h = 1e-5
-            for p, analytic in zip(enc.params(), grads):
-                flat_p = p.reshape(-1)
-                flat_a = analytic.reshape(-1)
-                for i in range(flat_p.size):
-                    orig = flat_p[i]
-                    flat_p[i] = orig + h
-                    up, _, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-                    flat_p[i] = orig - h
-                    down, _, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-                    flat_p[i] = orig
-                    fd = (up - down) / (2.0 * h)
-                    if abs(flat_a[i]) > 1e-8:
-                        rel = abs(flat_a[i] - fd) / max(abs(flat_a[i]), abs(fd))
+            fds = central_differences(
+                lambda: encoder_loss_and_grads(enc, x, labels, bank, cfg)[0], enc.params(), 1e-5
+            )
+            for analytic, fd in zip(grads, fds):
+                for i, (a, f) in enumerate(zip(analytic.ravel(), fd.ravel())):
+                    if abs(a) > 1e-8:
+                        rel = abs(a - f) / max(abs(a), abs(f))
                         worst_rel = max(worst_rel, rel)
                         assert rel < 1e-4, f"trial {trial}, coord {i}: rel error {rel:.2e}"
                         checked += 1
@@ -259,21 +252,15 @@ class TestCriterion5MemoryBankSemantics:
         loss_b, grads_b, _ = encoder_loss_and_grads(enc, x, labels, bank_b, cfg)
         assert loss_a != loss_b
 
-        h = 1e-5
         for which, bank in (("original", bank_a), ("perturbed", bank_b)):
             _, grads, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-            for p, analytic in zip(enc.params(), grads):
-                flat_p, flat_a = p.reshape(-1), analytic.reshape(-1)
-                for i in range(flat_p.size):
-                    orig = flat_p[i]
-                    flat_p[i] = orig + h
-                    up, _, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-                    flat_p[i] = orig - h
-                    down, _, _ = encoder_loss_and_grads(enc, x, labels, bank, cfg)
-                    flat_p[i] = orig
-                    fd = (up - down) / (2.0 * h)
-                    if abs(flat_a[i]) > 1e-8:
-                        rel = abs(flat_a[i] - fd) / max(abs(flat_a[i]), abs(fd))
+            fds = central_differences(
+                lambda: encoder_loss_and_grads(enc, x, labels, bank, cfg)[0], enc.params(), 1e-5
+            )
+            for analytic, fd in zip(grads, fds):
+                for a, f in zip(analytic.ravel(), fd.ravel()):
+                    if abs(a) > 1e-8:
+                        rel = abs(a - f) / max(abs(a), abs(f))
                         assert rel < 1e-4, f"{which} bank: rel error {rel:.2e}"
         _report(5, "100 interleaved ops match the ring-buffer oracle; bank "
                    "perturbation changes the loss but batch gradients stay exact")

@@ -31,7 +31,7 @@ from copydet import (
     substream,
 )
 
-from oracles import bank_contents, unit_rows
+from oracles import bank_contents, central_differences, loss_pairs_oracle, reference_contrastive_loss, unit_rows
 
 
 def pair_at_distance(d):
@@ -45,22 +45,9 @@ def loss_value(encoder, x, labels, bank, cfg):
     return loss
 
 
-def fd_param_grads(encoder, x, labels, bank, cfg, h=1e-5):
+def fd_param_grads(encoder, x, labels, bank, cfg):
     """Central finite differences of the loss over every encoder parameter."""
-    grads = []
-    for p in encoder.params():
-        g = np.zeros_like(p)
-        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = loss_value(encoder, x, labels, bank, cfg)
-            flat_p[i] = orig - h
-            down = loss_value(encoder, x, labels, bank, cfg)
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    return central_differences(lambda: loss_value(encoder, x, labels, bank, cfg), encoder.params(), 1e-5)
 
 
 def assert_grads_close(analytic, fd, rtol=1e-4, floor=1e-8):
@@ -70,73 +57,6 @@ def assert_grads_close(analytic, fd, rtol=1e-4, floor=1e-8):
             continue
         rel = np.abs(a - f) / np.maximum(np.abs(a), np.abs(f))
         assert rel[mask].max() < rtol, f"worst relative error {rel[mask].max():.3e}"
-
-
-def _pair_distances(a, b):
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.clip(sq, 0.0, None))
-
-
-def _hinge_weights(dist, same, cfg):
-    live = dist > 1e-12
-    w = np.zeros_like(dist)
-    w[same & (dist > cfg.pos_margin) & live] = 1.0
-    w[~same & (dist < cfg.neg_margin) & live] = -1.0
-    return np.divide(w, dist, out=w, where=live)
-
-
-def reference_contrastive_loss(embeddings, labels, bank, cfg):
-    """The former two-pass loss, kept as the oracle for the fused one.
-
-    In-batch and bank pairs go through separate distance, term and weight
-    passes, with the bank read oldest to newest through ``bank_contents``.
-    One change from the former library version: the diagonal of the in-batch
-    weights is zeroed. A row is no pair of itself, but its round-off
-    distance (~1e-8) passed the coincidence threshold and added
-    cancellation noise of up to ~1e-9 to its gradient.
-    """
-    E = np.asarray(embeddings, dtype=np.float64)
-    labs = np.asarray(labels)
-    b = E.shape[0]
-    if bank is not None and len(bank) > 0:
-        bank_e, bank_labs = bank_contents(bank)
-    else:
-        bank_e = np.zeros((0, E.shape[1]))
-        bank_labs = np.zeros(0, dtype=np.int64)
-    m = bank_e.shape[0]
-    num_pairs = b * (b - 1) // 2 + b * m
-    if num_pairs == 0:
-        return 0.0, np.zeros_like(E)
-    total = 0.0
-    grad = np.zeros_like(E)
-    if b > 1:
-        dist = _pair_distances(E, E)
-        same = labs[:, None] == labs[None, :]
-        terms = np.where(
-            same,
-            np.maximum(0.0, dist - cfg.pos_margin),
-            np.maximum(0.0, cfg.neg_margin - dist),
-        )
-        total += terms[np.triu_indices(b, k=1)].sum()
-        w = _hinge_weights(dist, same, cfg) / num_pairs
-        np.fill_diagonal(w, 0.0)
-        grad += w.sum(axis=1)[:, None] * E - w @ E
-    if m > 0:
-        dist = _pair_distances(E, bank_e)
-        same = labs[:, None] == bank_labs[None, :]
-        terms = np.where(
-            same,
-            np.maximum(0.0, dist - cfg.pos_margin),
-            np.maximum(0.0, cfg.neg_margin - dist),
-        )
-        total += terms.sum()
-        w = _hinge_weights(dist, same, cfg) / num_pairs
-        grad += w.sum(axis=1)[:, None] * E - w @ bank_e
-    return total / num_pairs, grad
 
 
 def dyadic_rows(rng, count, dim):
@@ -155,41 +75,74 @@ _BANK_STATES = {
 }
 
 
+def fused_loss_cases(bank_state, duplicates):
+    """25 seeded (embeddings, labels, bank, cfg) loss calls of one kind."""
+    rng = np.random.default_rng(list(_BANK_STATES).index(bank_state))
+    dim = 5
+    for trial in range(25):
+        b = 1 if trial % 5 == 0 else int(rng.integers(2, 10))
+        draw = unit_rows if duplicates == "none" else dyadic_rows
+        emb = draw(rng, b, dim)
+        if trial % 3 == 1:
+            emb = emb * (rng.integers(2, 25, size=(b, 1)) / 8.0)  # off the sphere
+        labels = rng.integers(0, 4, size=b)
+        bank = None
+        if _BANK_STATES[bank_state] is not None:
+            capacity, fill = _BANK_STATES[bank_state]
+            bank = MemoryBank(capacity, dim)
+            for chunk in np.array_split(np.arange(fill), 3):
+                if len(chunk):
+                    bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
+        if duplicates in ("same_label", "other_label") and b > 1:
+            emb[1] = emb[0]
+            labels[1] = labels[0] + (duplicates == "other_label")
+        if duplicates == "bank_row" and bank is not None and len(bank):
+            bank_rows, bank_labels = bank_contents(bank)
+            emb[0] = bank_rows[-1]
+            labels[0] = bank_labels[-1] + trial % 2
+        cfg = LossConfig()
+        if trial % 2:
+            cfg = LossConfig(pos_margin=float(rng.uniform(0.0, 0.4)),
+                             neg_margin=float(rng.uniform(0.5, 2.0)))
+        yield emb, labels, bank, cfg
+
+
+def every_loss_case(test):
+    """Parametrize ``test`` over each bank state and kind of duplicate row."""
+    test = pytest.mark.parametrize("duplicates", ["none", "same_label", "other_label", "bank_row"])(test)
+    return pytest.mark.parametrize("bank_state", list(_BANK_STATES))(test)
+
+
 class TestFusedLossMatchesReference:
-    @pytest.mark.parametrize("bank_state", list(_BANK_STATES))
-    @pytest.mark.parametrize("duplicates", ["none", "same_label", "other_label", "bank_row"])
+    @every_loss_case
     def test_random_cases_within_1e_12(self, bank_state, duplicates):
-        rng = np.random.default_rng(list(_BANK_STATES).index(bank_state))
-        dim = 5
-        for trial in range(25):
-            b = 1 if trial % 5 == 0 else int(rng.integers(2, 10))
-            draw = unit_rows if duplicates == "none" else dyadic_rows
-            emb = draw(rng, b, dim)
-            if trial % 3 == 1:
-                emb = emb * (rng.integers(2, 25, size=(b, 1)) / 8.0)  # off the sphere
-            labels = rng.integers(0, 4, size=b)
-            bank = None
-            if _BANK_STATES[bank_state] is not None:
-                capacity, fill = _BANK_STATES[bank_state]
-                bank = MemoryBank(capacity, dim)
-                for chunk in np.array_split(np.arange(fill), 3):
-                    if len(chunk):
-                        bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
-            if duplicates in ("same_label", "other_label") and b > 1:
-                emb[1] = emb[0]
-                labels[1] = labels[0] + (duplicates == "other_label")
-            if duplicates == "bank_row" and bank is not None and len(bank):
-                bank_rows, bank_labels = bank_contents(bank)
-                emb[0] = bank_rows[-1]
-                labels[0] = bank_labels[-1] + trial % 2
-            cfg = LossConfig()
-            if trial % 2:
-                cfg = LossConfig(pos_margin=float(rng.uniform(0.0, 0.4)),
-                                 neg_margin=float(rng.uniform(0.5, 2.0)))
+        for emb, labels, bank, cfg in fused_loss_cases(bank_state, duplicates):
             loss, grad = contrastive_loss(emb, labels, bank, cfg)
             ref_loss, ref_grad = reference_contrastive_loss(emb, labels, bank, cfg)
             assert abs(loss - ref_loss) <= 1e-12
             assert np.abs(grad - ref_grad).max(initial=0.0) <= 1e-12
+
+
+class TestLossPairs:
+    """The pair stage against the full distance matrix, on the fused loss's cases."""
+
+    @every_loss_case
+    def test_candidates_match_the_full_matrix(self, bank_state, duplicates):
+        for emb, labels, bank, cfg in fused_loss_cases(bank_state, duplicates):
+            if bank is None:
+                bank = MemoryBank(0, emb.shape[1])
+            X, rows, cols, dist, positive = copydet.train._loss_pairs(emb, labels, bank, cfg.neg_margin)
+            positives, negatives, full = loss_pairs_oracle(emb, labels, bank, cfg.neg_margin)
+            n = X.shape[0]
+            assert n == full.shape[1] == len(emb) + len(bank)
+            np.testing.assert_array_equal(X[: len(emb)], emb)
+            flat = rows * n + cols
+            np.testing.assert_array_equal(flat[positive], positives)
+            candidates = flat[~positive]
+            assert np.isin(negatives, candidates).all()
+            assert not np.isin(candidates, positives).any()
+            assert (candidates // n != candidates % n).all()
+            assert np.abs(dist - full.reshape(-1)[flat]).max(initial=0.0) <= 1e-12
 
 
 def assert_matches_reference(emb, labels, bank, cfg):
@@ -369,6 +322,18 @@ class TestContrastiveLoss:
         with pytest.raises(EmptyBatch):
             contrastive_loss(np.empty((0, 4)), np.empty(0), None, LossConfig())
 
+    def test_float_labels_raise(self):
+        # 1.5 and 1.2 are two items; an int64 store would merge them into a
+        # positive pair.
+        emb = pair_at_distance(0.5)
+        for labels in (np.array([1.5, 1.2]), np.array([1.0, 1.0])):
+            with pytest.raises(ValueError, match="labels must be integers, got float64"):
+                contrastive_loss(emb, labels, None, LossConfig())
+        bank = MemoryBank(4, 2)
+        bank.push(emb, np.array([3, 4]))
+        with pytest.raises(ValueError, match="labels must be integers, got float64"):
+            contrastive_loss(emb[:1], np.array([3.0]), bank, LossConfig())
+
     def test_single_item_empty_bank_zero_pairs(self):
         loss, grad = contrastive_loss(np.array([[1.0, 0.0]]), np.array([1]), None, LossConfig())
         assert loss == 0.0 and not grad.any()
@@ -405,21 +370,20 @@ class TestContrastiveLoss:
             bank = MemoryBank(16, 5)
             bank.push(unit_rows(rng, 8, 5), rng.integers(0, 3, size=8))
             _, grad = contrastive_loss(emb, labels, bank, cfg)
-
-            fd = np.zeros_like(emb)
-            h = 1e-6
-            for i in range(emb.shape[0]):
-                for j in range(emb.shape[1]):
-                    probe = emb.copy()
-                    probe[i, j] += h
-                    up, _ = contrastive_loss(probe, labels, bank, cfg)
-                    probe[i, j] -= 2 * h
-                    down, _ = contrastive_loss(probe, labels, bank, cfg)
-                    fd[i, j] = (up - down) / (2 * h)
-            assert_grads_close([grad], [fd])
+            probe = emb.copy()
+            fd = central_differences(lambda: contrastive_loss(probe, labels, bank, cfg)[0], [probe], 1e-6)
+            assert_grads_close([grad], fd)
 
 
 class TestMemoryBank:
+    def test_float_labels_raise(self):
+        bank = MemoryBank(4, 2)
+        with pytest.raises(ValueError, match="labels must be integers, got float64"):
+            bank.push(np.eye(2), [0.5, 0.7])
+        assert len(bank) == 0
+        bank.push(np.eye(2), np.array([5, 6], dtype=np.int32))
+        assert bank_contents(bank)[1].tolist() == [5, 6]
+
     def test_fifo_eviction(self):
         bank = MemoryBank(3, 2)
         rows = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
