@@ -184,6 +184,8 @@ def _loss_pairs(
     # g < neg_margin^2 - min |e|^2 - min |x|^2, up to a rounding error far
     # below the slack (no term exceeds 4 max |x|^2). So the candidates hold
     # every active negative; the exact hinge test runs on their distances.
+    # The b x (b + m) block and mask die when this returns, before the
+    # gradient allocates.
     nm2 = neg_margin * neg_margin
     bound = nm2 - sq[:b].min() - sq.min() + 1e-9 * (nm2 + 4.0 * sq.max())
     mask = g < bound
@@ -192,9 +194,6 @@ def _loss_pairs(
     rows, cols = np.divmod(pairs, n)
     dist = g.reshape(-1)[pairs] + sq[rows]
     dist += sq[cols]
-    # The b x (b + m) block and mask are spent; free them before the flags
-    # and the gradient allocate.
-    del g, mask
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     positive = np.zeros(pairs.size, dtype=np.bool_)
