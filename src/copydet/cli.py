@@ -12,7 +12,7 @@ from dataclasses import fields
 from .datagen import TIER_NAMES, WorldConfig, gen_world, load_world, write_world
 from .embedding import read_embeddings, read_text, write_embeddings
 from .errors import CopyDetError, FormatError
-from .metrics import build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
+from .metrics import TARGET_PRECISION, build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
 from .pipeline import (
     POSTPROCESS_TARGETS,
     RunManifest,
@@ -168,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact top-k matches as TSV")
     p.add_argument("--queries", required=True)
     p.add_argument("--db", required=True)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=RunManifest.per_query_k)
     p.add_argument("--out", default=None, help="TSV path; stdout when omitted")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("eval", help="micro-AP and recall at precision")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--p", type=float, default=0.9)
+    p.add_argument("--p", type=float, default=TARGET_PRECISION)
     p.set_defaults(func=_cmd_eval)
 
     for name, run, summary in [

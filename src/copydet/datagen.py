@@ -21,8 +21,6 @@ from .embedding import EmbeddingSet, read_embeddings, write_embeddings
 from .errors import FormatError, check_at_least
 from .metrics import GroundTruth, read_gt_csv, write_gt_csv
 
-TIER_NAMES = ("none", "weak", "intermediate", "strong")
-
 
 @dataclass(frozen=True)
 class AugmentTier:
@@ -47,6 +45,7 @@ TIERS: dict[str, AugmentTier] = {
     "intermediate": AugmentTier("intermediate", 0.3, 0.3, 0.0, 0.2, 0.05),
     "strong": AugmentTier("strong", 0.6, 0.6, 0.1, 0.5, 0.2),
 }
+TIER_NAMES = tuple(TIERS)
 
 
 def get_tier(name: str) -> AugmentTier:
@@ -185,9 +184,7 @@ def gen_world(seed: int, world: WorldConfig = WorldConfig()) -> SyntheticWorld:
     queries[slots[n_copy:]] = distractors
 
     reference, query_set = raw_set("R", ref), raw_set("Q", queries)
-    gt = GroundTruth.from_pairs(
-        (query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy)
-    )
+    gt = GroundTruth([(query_set.ids[int(slots[j])], reference.ids[int(src[j])]) for j in range(n_copy)])
     return SyntheticWorld(raw_set("T", train), reference, query_set, gt)
 
 

@@ -46,13 +46,19 @@ def normalize_rows(rows: np.ndarray, ids: tuple[str, ...] | None = None) -> np.n
     return norms
 
 
+def single_row(v: np.ndarray, noun: str) -> np.ndarray:
+    """The 1-d ``v`` as a float64 (1, d) row, a view where it can be: the one
+    check of every single-vector call, whose DimMismatch names ``noun``."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimMismatch(f"expected a 1-d {noun}, got shape {v.shape}")
+    return v[None, :]
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
     """``v`` scaled to unit L2 norm, as a new float64 vector; errors as
     :func:`normalize_rows`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimMismatch(f"expected a 1-d vector, got shape {v.shape}")
-    row = v[None, :].copy()
+    row = single_row(v, "vector").copy()
     normalize_rows(row)
     return row[0]
 

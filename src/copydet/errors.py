@@ -16,7 +16,8 @@ class DimMismatch(CopyDetError):
 
 
 class ShapeMismatch(CopyDetError):
-    """Parameter and gradient arrays disagree in shape."""
+    """Arrays that must agree in shape do not: parameters and gradients, or a
+    training batch's rows, its labels and the bank's width."""
 
 
 class FormatError(CopyDetError):

@@ -28,26 +28,27 @@ Candidate = tuple[str, str, float]
 
 _GT_HEADER = ["query_id", "reference_id"]
 
+# The precision at which recall is reported unless a caller names another.
+TARGET_PRECISION = 0.9
+
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Positive (query_id, reference_id) pairs from any iterable, held once and sorted."""
+    """Positive (query_id, reference_id) pairs from any iterable, held sorted;
+    a pair given twice is a ValueError naming it."""
 
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
+        pairs = sorted(self.pairs)
+        repeated = next((a for a, b in zip(pairs, pairs[1:]) if a == b), None)
+        if repeated is not None:
+            raise ValueError(f"duplicate ground-truth pair {repeated}")
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @property
     def positives(self) -> int:
         return len(self.pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GroundTruth":
-        pairs = list(pairs)
-        if len(set(pairs)) != len(pairs):
-            raise ValueError("ground truth contains duplicate pairs")
-        return cls(pairs)
 
     def positions(self, query_ids: Sequence[str], reference_ids: Sequence[str]) -> np.ndarray:
         """Each pair's (query row, reference row) in two id tables of any order, as a
@@ -185,7 +186,7 @@ def micro_ap(ranked: RankedMatches, gt: GroundTruth) -> float:
     return total / gt.positives
 
 
-def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90) -> float:
+def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = TARGET_PRECISION) -> float:
     """Max recall over all cutoffs whose precision is at least ``p``.
 
     Zero when no cutoff qualifies (including an empty ranking). The
@@ -202,7 +203,7 @@ def recall_at_precision(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90)
     return int(qualifying[-1]) / gt.positives if qualifying.size else 0.0
 
 
-def evaluate(ranked: RankedMatches, gt: GroundTruth, p: float = 0.90) -> dict[str, float]:
+def evaluate(ranked: RankedMatches, gt: GroundTruth, p: float = TARGET_PRECISION) -> dict[str, float]:
     """The score record of a ranking: micro-AP and recall at precision ``p``."""
     # p as a percentage, never rounded to a whole one: 0.905 gives
     # recall_at_p90.5. Twelve digits drop the float error of 0.9 * 100.

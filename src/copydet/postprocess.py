@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddingSet, normalize_rows
+from .embedding import EmbeddingSet, normalize_rows, single_row
 from .errors import DimMismatch, check_at_least
 from .search import topk_rows
 
@@ -70,10 +70,7 @@ def subtract_negatives(
     ZeroVector if a subtraction annihilates the vector, which signals a
     pathological beta/negatives combination.
     """
-    y = np.asarray(x, dtype=np.float64)
-    if y.ndim != 1:
-        raise DimMismatch(f"expected a 1-d descriptor, got shape {y.shape}")
-    return _subtract_rows(y[None, :].copy(), negatives, cfg)[0]
+    return _subtract_rows(single_row(x, "descriptor").copy(), negatives, cfg)[0]
 
 
 def subtract_negatives_batch(

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .embedding import EmbeddingSet
+from .embedding import EmbeddingSet, single_row
 from .errors import DimMismatch, check_at_least
 
 # Cap on one float64 score block, whatever the query count. At 8192 database
@@ -89,10 +89,7 @@ def topk(query: np.ndarray, db: EmbeddingSet, k: int) -> tuple[np.ndarray, np.nd
     Returns the int64 indices and float64 scores of the min(k, db.count)
     best rows, sorted by score descending, ties by ascending index.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise DimMismatch(f"expected a 1-d query, got shape {q.shape}")
-    idx, top = topk_rows(q[None, :], db, k)
+    idx, top = topk_rows(single_row(query, "query"), db, k)
     return idx[0], top[0]
 
 

@@ -87,13 +87,7 @@ class MemoryBank:
 
     def push(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
         """Append entries in batch order, evicting FIFO past capacity."""
-        emb = np.asarray(embeddings, dtype=np.float64)
-        labs = _integer_labels(labels).astype(np.int64, copy=False)
-        if emb.ndim != 2 or emb.shape[1] != self.dim or emb.shape[0] != labs.shape[0]:
-            raise ShapeMismatch(
-                f"push of {emb.shape} embeddings / {labs.shape} labels into "
-                f"bank of dim {self.dim}"
-            )
+        emb, labs = _batch(embeddings, labels, self.dim)
         n = emb.shape[0]
         # Of a push longer than the ring, only the newest `capacity` rows survive.
         first = max(0, n - self.capacity)
@@ -132,12 +126,22 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _integer_labels(labels) -> np.ndarray:
-    # A float label would be truncated by the int64 store, merging items.
+def _batch(embeddings, labels, dim: int | None, nonempty: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a training batch, for the loss and the bank: 2-d rows
+    (``dim`` wide unless None) and 1-d labels of their length, else
+    ShapeMismatch; a row if ``nonempty``, else EmptyBatch; integer labels,
+    else ValueError, as an int64 store would merge 1.5 and 1.2. Returns the
+    rows as float64 and the labels as int64."""
+    E = np.asarray(embeddings, dtype=np.float64)
     labs = np.asarray(labels)
+    if E.ndim != 2 or labs.shape != E.shape[:1] or dim not in (None, E.shape[1]):
+        bank = "" if dim is None else f" for a bank of dim {dim}"
+        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}{bank}")
+    if nonempty and not E.shape[0]:
+        raise EmptyBatch("contrastive_loss needs a nonempty batch")
     if not np.issubdtype(labs.dtype, np.integer):
         raise ValueError(f"labels must be integers, got {labs.dtype}")
-    return labs
+    return E, labs.astype(np.int64, copy=False)
 
 
 def _loss_pairs(
@@ -214,22 +218,16 @@ def contrastive_loss(
     labels max(0, neg_margin - d), with d the Euclidean distance. The mean
     runs over all counted pairs, active or not. Returns the loss and the
     gradient with respect to each batch embedding; bank entries get none.
-    ``bank=None`` is an empty bank. Labels must be integers.
+    ``bank=None`` is an empty bank. The batch is checked as the bank
+    checks a push, by :func:`_batch`.
 
     Few pairs are active, so past the one distance gemm the work follows
     the candidate pairs that :func:`_loss_pairs` picks: the same-label
     ones, and the different-label ones that one threshold pass finds
     inside the negative margin. This function only reduces them.
     """
-    E = np.asarray(embeddings, dtype=np.float64)
-    labs = np.asarray(labels)
-    if E.ndim != 2 or E.shape[0] != labs.shape[0]:
-        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}")
-    b = E.shape[0]
-    if b == 0:
-        raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    labs = _integer_labels(labs)
-    dim = E.shape[1]
+    E, labs = _batch(embeddings, labels, None if bank is None else bank.dim, nonempty=True)
+    b, dim = E.shape
     if bank is None:
         bank = MemoryBank(0, dim)
     m = len(bank)

@@ -276,7 +276,7 @@ class TestCriterion6MetricCorrectness:
             gt_pairs = {(q, r) for q, r, _ in entries if rng.random() < 0.3}
             if not gt_pairs:
                 gt_pairs = {entries[0][:2]}
-            gt = GroundTruth.from_pairs(gt_pairs)
+            gt = GroundTruth(gt_pairs)
             np.testing.assert_allclose(
                 micro_ap(ranked, gt),
                 ap_oracle(ranked.entries, gt_pairs, len(gt_pairs)),
@@ -292,22 +292,22 @@ class TestCriterion6MetricCorrectness:
         # Hand cases.
         entries = [("q0", "r0", 3.0), ("q1", "r1", 2.0), ("q2", "r2", 1.0)]
         ranked = RankedMatches.from_candidates(entries)
-        gt = GroundTruth.from_pairs([("q0", "r0"), ("q2", "r2")])
+        gt = GroundTruth([("q0", "r0"), ("q2", "r2")])
         np.testing.assert_allclose(micro_ap(ranked, gt), (1.0 + 2.0 / 3.0) / 2.0, atol=1e-9)
 
         nine_tps = [(f"q{i}", f"r{i}", 10.0 - i) for i in range(10)]
         ranked = RankedMatches.from_candidates(nine_tps)
-        gt = GroundTruth.from_pairs([(f"q{i}", f"r{i}") for i in range(9)])
+        gt = GroundTruth([(f"q{i}", f"r{i}") for i in range(9)])
         assert recall_at_precision(ranked, gt, 0.9) == 1.0
 
         ranked = RankedMatches.from_candidates([("qa", "ra", 2.0), ("qb", "rb", 1.0)])
-        gt = GroundTruth.from_pairs([("qb", "rb")])
+        gt = GroundTruth([("qb", "rb")])
         assert recall_at_precision(ranked, gt, 0.9) == 0.0
 
         # Monotone transform invariance.
         entries = [(f"q{i}", f"r{i}", float(rng.standard_normal())) for i in range(200)]
         gt_pairs = {(q, r) for q, r, _ in entries if rng.random() < 0.25}
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         base = RankedMatches.from_candidates(entries)
         for transform in (lambda s: 10.0 * s - 3.0, np.exp):
             mapped = RankedMatches.from_candidates(

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from copydet import (
+    DimMismatch,
     EmbeddingSet,
     Encoder,
     FormatError,
+    NegSubConfig,
     NonFiniteValue,
     RankedMatches,
     ZeroVector,
     normalize,
     read_embeddings,
+    subtract_negatives,
+    topk,
     write_embeddings,
     write_matches_tsv,
 )
@@ -58,6 +63,22 @@ class TestNormalize:
         v = np.array([3.0, 4.0])
         assert normalize(v) is not v
         np.testing.assert_array_equal(v, [3.0, 4.0])
+
+
+class TestSingleRow:
+    """normalize, topk and subtract_negatives share one 1-d vector check."""
+
+    @pytest.mark.parametrize("shape", [(), (1, 4), (3, 4)])
+    @pytest.mark.parametrize("noun", ["vector", "query", "descriptor"])
+    def test_non_vector_input_raises(self, noun, shape):
+        pool = unit_set(np.random.default_rng(0), 5, 4)
+        call = {
+            "vector": normalize,
+            "query": lambda v: topk(v, pool, 2),
+            "descriptor": lambda v: subtract_negatives(v, pool, NegSubConfig()),
+        }[noun]
+        with pytest.raises(DimMismatch, match=re.escape(f"expected a 1-d {noun}, got shape {shape}")):
+            call(np.ones(shape))
 
 
 class TestNormalizeRows:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -40,22 +41,22 @@ def ranking(*pairs_with_flags):
 class TestMicroAp:
     def test_hand_case_tp_fp_tp(self):
         ranked, gt_pairs = ranking(True, False, True)
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         np.testing.assert_allclose(micro_ap(ranked, gt), (1.0 + 2.0 / 3.0) / 2.0, atol=1e-9)
 
     def test_perfect_ranking(self):
         ranked, gt_pairs = ranking(True, True, True, False, False)
-        assert micro_ap(ranked, GroundTruth.from_pairs(gt_pairs)) == 1.0
+        assert micro_ap(ranked, GroundTruth(gt_pairs)) == 1.0
 
     def test_unreturned_positives_penalize(self):
         ranked, gt_pairs = ranking(True)
-        gt = GroundTruth.from_pairs(gt_pairs | {("qx", "rx")})
+        gt = GroundTruth(gt_pairs | {("qx", "rx")})
         np.testing.assert_allclose(micro_ap(ranked, gt), 0.5)
 
     def test_empty_ground_truth(self):
         ranked, _ = ranking(False)
         with pytest.raises(EmptyGroundTruth):
-            micro_ap(ranked, GroundTruth.from_pairs([]))
+            micro_ap(ranked, GroundTruth([]))
 
     def test_matches_counting_oracle_random(self):
         rng = np.random.default_rng(42)
@@ -68,7 +69,7 @@ class TestMicroAp:
             gt_pairs = {
                 (q, r) for (q, r, _) in entries if rng.random() < 0.3
             } | {("extra_q", "extra_r")}
-            gt = GroundTruth.from_pairs(gt_pairs)
+            gt = GroundTruth(gt_pairs)
             want = ap_oracle(ranked.entries, gt_pairs, len(gt_pairs))
             np.testing.assert_allclose(micro_ap(ranked, gt), want, atol=1e-12)
 
@@ -77,29 +78,29 @@ class TestRecallAtPrecision:
     def test_all_positives_then_one_negative(self):
         flags = [True] * 9 + [False]
         ranked, gt_pairs = ranking(*flags)
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         assert recall_at_precision(ranked, gt, 0.90) == 1.0
 
     def test_empty_ranking(self):
-        gt = GroundTruth.from_pairs([("q", "r")])
+        gt = GroundTruth([("q", "r")])
         assert recall_at_precision(RankedMatches(), gt, 0.9) == 0.0
 
     def test_precision_never_reaches_threshold(self):
         ranked, gt_pairs = ranking(False, True)
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         assert recall_at_precision(ranked, gt, 0.9) == 0.0
 
     def test_non_increasing_in_p(self):
         rng = np.random.default_rng(3)
         flags = [bool(rng.random() < 0.5) for _ in range(50)]
         ranked, gt_pairs = ranking(*flags)
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         values = [recall_at_precision(ranked, gt, p) for p in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_fp_below_all_tps_no_change(self):
         ranked, gt_pairs = ranking(True, True, True)
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         before = recall_at_precision(ranked, gt, 0.9)
         extended = RankedMatches.from_candidates(
             list(ranked.entries) + [("qz", "rz", -100.0)]
@@ -117,7 +118,7 @@ class TestRecallAtPrecision:
             gt_pairs = {(q, r) for (q, r, _) in entries if rng.random() < 0.4}
             if not gt_pairs:
                 continue
-            gt = GroundTruth.from_pairs(gt_pairs)
+            gt = GroundTruth(gt_pairs)
             for p in (0.3, 0.6, 0.9):
                 want = recall_oracle(ranked.entries, gt_pairs, len(gt_pairs), p)
                 np.testing.assert_allclose(
@@ -132,7 +133,7 @@ class TestMonotoneTransformInvariance:
             (f"q{i}", f"r{i}", float(rng.standard_normal())) for i in range(100)
         ]
         gt_pairs = {(q, r) for (q, r, _) in entries if rng.random() < 0.3}
-        gt = GroundTruth.from_pairs(gt_pairs)
+        gt = GroundTruth(gt_pairs)
         base = RankedMatches.from_candidates(entries)
         for transform in (lambda s: 3.0 * s + 7.0, np.exp, lambda s: np.arctan(s)):
             mapped = RankedMatches.from_candidates(
@@ -158,7 +159,7 @@ def _entries_and_gt(cands):
     # One positive the ranking never retrieves, so recall stays below 1
     # and there is always a positive.
     gt = {(f"q{q}", f"r{r}") for q, r, _, pos in cands if pos} | {("q9", "r9")}
-    return entries, GroundTruth.from_pairs(gt)
+    return entries, GroundTruth(gt)
 
 
 class TestRankOnlyProperties:
@@ -266,7 +267,7 @@ class TestArrayRanking:
             entries = [(f"q{k // nr}", f"r{k % nr}", float(rng.integers(-4, 5))) for k in keys]
             ranked = RankedMatches.from_candidates(entries)
             gt_pairs = {(q, r) for q, r, _ in entries if rng.random() < 0.4} | {("q_none", "r0")}
-            gt = GroundTruth.from_pairs(gt_pairs)
+            gt = GroundTruth(gt_pairs)
             p = float(rng.choice([0.25, 0.5, 0.9, 1.0]))
             want_ap, want_recall = running_sum_oracle(ranked.entries, gt_pairs, len(gt_pairs), p)
             assert micro_ap(ranked, gt) == want_ap
@@ -335,7 +336,7 @@ class TestGtCsv:
         path = tmp_path / "gt.csv"
         write_gt_csv(path, pairs)
         assert path.read_bytes() == b"query_id,reference_id\r\nq2,r9\r\nq1,r3\r\nq3,r1\r\n"
-        assert read_gt_csv(path) == GroundTruth.from_pairs(pairs)
+        assert read_gt_csv(path) == GroundTruth(pairs)
 
 
 class TestGroundTruth:
@@ -343,16 +344,20 @@ class TestGroundTruth:
         pairs = [("q2", "r1"), ("q1", "r9"), ("q10", "r0"), ("q1", "r3")]
         rng = np.random.default_rng(0)
         shuffled = [pairs[i] for i in rng.permutation(len(pairs))]
-        gt = GroundTruth.from_pairs(shuffled)
-        assert gt == GroundTruth.from_pairs(sorted(pairs))
+        gt = GroundTruth(shuffled)
+        assert gt == GroundTruth(sorted(pairs))
         assert list(gt.pairs) == sorted(pairs)
         assert GroundTruth(frozenset(pairs)) == gt
-        assert GroundTruth(pairs + pairs[:2]).positives == len(pairs)
-        with pytest.raises(ValueError, match="duplicate pairs"):
-            GroundTruth.from_pairs(pairs + pairs[:1])
+
+    @pytest.mark.parametrize("repeats, named", [(1, "('q2', 'r1')"), (2, "('q1', 'r9')")])
+    def test_repeated_pair_raises_naming_it(self, repeats, named):
+        # The sorted pairs are checked, so the smallest repeated pair is named.
+        pairs = [("q2", "r1"), ("q1", "r9"), ("q10", "r0"), ("q1", "r3")]
+        with pytest.raises(ValueError, match=re.escape(f"duplicate ground-truth pair {named}")):
+            GroundTruth(pairs + pairs[:repeats])
 
     def test_positions_in_pair_order_with_missing_ids(self):
-        gt = GroundTruth.from_pairs([("q3", "r1"), ("q1", "r2"), ("q2", "r9"), ("q9", "r1")])
+        gt = GroundTruth([("q3", "r1"), ("q1", "r2"), ("q2", "r9"), ("q9", "r1")])
         rows = gt.positions(("q3", "q1", "q2"), ["r2", "r1"])
         assert rows.dtype == np.int64
         # Pair order is sorted: q1, q2, q3, q9.

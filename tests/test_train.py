@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -32,6 +33,16 @@ from copydet import (
 )
 
 from oracles import bank_contents, central_differences, loss_pairs_oracle, reference_contrastive_loss, unit_rows
+
+
+# Batches a bank of dim 3 cannot take: 0-d or 2-d labels, and rows wider or
+# narrower than the bank's. Only the label shapes are wrong without a bank.
+BAD_LABELS = [(np.ones((1, 3)), np.array(0)), (np.ones((2, 3)), np.array([[0], [1]]))]
+BAD_BATCHES = BAD_LABELS + [(np.ones((2, 4)), np.array([0, 1])), (np.ones((2, 2)), np.array([0, 1]))]
+
+
+def shape_message(emb, labels, bank=""):
+    return "^" + re.escape(f"embeddings {emb.shape} vs labels {labels.shape}{bank}") + "$"
 
 
 def pair_at_distance(d):
@@ -322,6 +333,19 @@ class TestContrastiveLoss:
         with pytest.raises(EmptyBatch):
             contrastive_loss(np.empty((0, 4)), np.empty(0), None, LossConfig())
 
+    @pytest.mark.parametrize("emb, labels", BAD_LABELS)
+    def test_bad_label_shape_without_bank_raises(self, emb, labels):
+        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels)):
+            contrastive_loss(emb, labels, None, LossConfig())
+
+    @pytest.mark.parametrize("filled", [0, 2])
+    @pytest.mark.parametrize("emb, labels", BAD_BATCHES)
+    def test_batch_the_bank_cannot_take_raises(self, filled, emb, labels):
+        bank = MemoryBank(4, 3)
+        bank.push(np.eye(3)[:filled], np.arange(filled))
+        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels, " for a bank of dim 3")):
+            contrastive_loss(emb, labels, bank, LossConfig())
+
     def test_float_labels_raise(self):
         # 1.5 and 1.2 are two items; an int64 store would merge them into a
         # positive pair.
@@ -486,10 +510,18 @@ class TestMemoryBank:
         with pytest.raises(ValueError, match="capacity must be >= 0"):
             MemoryBank(-1, 3)
 
-    def test_push_shape_mismatch(self):
+    @pytest.mark.parametrize("filled", [0, 2])
+    @pytest.mark.parametrize("emb, labels", [(np.zeros((2, 5)), np.array([0, 1]))] + BAD_BATCHES)
+    def test_push_shape_mismatch(self, filled, emb, labels):
         bank = MemoryBank(4, 3)
-        with pytest.raises(ShapeMismatch):
-            bank.push(np.zeros((2, 5)), np.array([0, 1]))
+        bank.push(np.eye(3)[:filled], np.arange(filled))
+        before = bank_contents(bank)
+        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels, " for a bank of dim 3")):
+            bank.push(emb, labels)
+        after = bank_contents(bank)
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert len(bank) == filled
 
     def test_loss_batches_of_changing_size_leave_the_ring_alone(self):
         # The loss writes each batch into the storage head before the ring;
