@@ -50,6 +50,11 @@ class GroundTruth:
     def positives(self) -> int:
         return len(self.pairs)
 
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "GroundTruth":
+        """The constructor under its older name, which `cdbench/tests` still call."""
+        return cls(pairs)
+
     def positions(self, query_ids: Sequence[str], reference_ids: Sequence[str]) -> np.ndarray:
         """Each pair's (query row, reference row) in two id tables of any order, as a
         ``(positives, 2)`` int64 array in pair order; -1 where a table lacks the id."""

@@ -126,20 +126,17 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _batch(embeddings, labels, dim: int | None, nonempty: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _batch(embeddings, labels, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The one check of a training batch, for the loss and the bank: 2-d rows
     (``dim`` wide unless None) and 1-d labels of their length, else
-    ShapeMismatch; a row if ``nonempty``, else EmptyBatch; integer labels,
-    else ValueError, as an int64 store would merge 1.5 and 1.2. Returns the
-    rows as float64 and the labels as int64."""
+    ShapeMismatch; integer labels unless there are none, else ValueError, as
+    an int64 store would merge 1.5 and 1.2. Returns float64 rows, int64 labels."""
     E = np.asarray(embeddings, dtype=np.float64)
     labs = np.asarray(labels)
     if E.ndim != 2 or labs.shape != E.shape[:1] or dim not in (None, E.shape[1]):
         bank = "" if dim is None else f" for a bank of dim {dim}"
         raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}{bank}")
-    if nonempty and not E.shape[0]:
-        raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    if not np.issubdtype(labs.dtype, np.integer):
+    if labs.size and not np.issubdtype(labs.dtype, np.integer):
         raise ValueError(f"labels must be integers, got {labs.dtype}")
     return E, labs.astype(np.int64, copy=False)
 
@@ -226,12 +223,12 @@ def contrastive_loss(
     ones, and the different-label ones that one threshold pass finds
     inside the negative margin. This function only reduces them.
     """
-    E, labs = _batch(embeddings, labels, None if bank is None else bank.dim, nonempty=True)
+    E, labs = _batch(embeddings, labels, None if bank is None else bank.dim)
     b, dim = E.shape
-    if bank is None:
-        bank = MemoryBank(0, dim)
-    m = len(bank)
-    num_pairs = b * (b - 1) // 2 + b * m
+    if not b:
+        raise EmptyBatch("contrastive_loss needs a nonempty batch")
+    bank = MemoryBank(0, dim) if bank is None else bank
+    num_pairs = b * (b - 1) // 2 + b * len(bank)
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
     X, rows, cols, dist, positive = _loss_pairs(E, labs, bank, cfg.neg_margin)

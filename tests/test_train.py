@@ -407,6 +407,9 @@ class TestMemoryBank:
         assert len(bank) == 0
         bank.push(np.eye(2), np.array([5, 6], dtype=np.int32))
         assert bank_contents(bank)[1].tolist() == [5, 6]
+        # No label, nothing to truncate: an empty push is a no-op.
+        bank.push(np.empty((0, 2)), np.empty(0))
+        assert bank_contents(bank)[1].tolist() == [5, 6]
 
     def test_fifo_eviction(self):
         bank = MemoryBank(3, 2)
