@@ -49,7 +49,7 @@ def _cmd_train(args) -> int:
     manifest = _manifest_from_args(args)
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         os.stat(args.out)  # fails, naming args.out, as the save after training would
-    encoder, losses = train_encoder(load_world(args.world), manifest)
+    encoder, losses = train_encoder(load_world(args.world_dir), manifest)
     encoder.save(args.out)
     print(json.dumps({"out": args.out, "stages": losses}))
     return 0
@@ -65,7 +65,7 @@ def _cmd_embed(args) -> int:
 def _cmd_postprocess(args) -> int:
     negatives = read_embeddings(args.negatives)
     targets = read_embeddings(args.in_path)
-    cfg = NegSubConfig(n=args.n, k=args.k, beta=args.beta)
+    cfg = NegSubConfig(**_given(args, {f.name for f in fields(NegSubConfig)}))
     write_embeddings(subtract_negatives_batch(targets, negatives, cfg), args.out)
     return 0
 
@@ -85,10 +85,12 @@ def _cmd_eval(args) -> int:
 
 
 def _manifest_from_args(args) -> RunManifest:
-    # The default manifest with the fields of the flags given; train has
-    # no --out-dir. RunManifest checks every setting, stages included.
+    # The default manifest with the fields of the flags given, at the top
+    # level and in each nested config; train has no --out-dir.
+    # RunManifest checks every setting, stages included.
     d = RunManifest(seed=args.seed, out_dir="").to_dict()
-    d.update(_given(args, d))
+    for config in [d, *(v for v in d.values() if isinstance(v, dict))]:
+        config.update(_given(args, config))
     if args.stages_file is not None:
         try:
             d["stages"] = json.loads(read_text(args.stages_file))
@@ -114,7 +116,7 @@ def _add_world_flags(p: argparse.ArgumentParser, tier_flag: str) -> None:
     p.add_argument("--n-query", type=int, default=None)
     p.add_argument("--dim", dest="d_in", type=int, default=None, help="raw feature dimension")
     p.add_argument("--copy-rate", type=float, default=None)
-    p.add_argument(tier_flag, choices=TIER_NAMES, default=None)
+    p.add_argument(tier_flag, dest="tier", choices=TIER_NAMES, default=None)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -123,10 +125,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bank-capacity", type=int, default=None)
     p.add_argument("--per-query-k", type=int, default=None)
     p.add_argument("--stages", dest="stages_file", default=None, help="JSON file with the stage schedule")
-    p.add_argument("--n", dest="negsub_n", type=int, default=None, help="post-process iterations")
-    p.add_argument("--k", dest="negsub_k", type=int, default=None, help="post-process neighbors per iteration")
-    p.add_argument("--beta", dest="negsub_beta", type=float, default=None, help="post-process subtraction factor")
+    _add_negsub_flags(p)
     p.add_argument("--postprocess-targets", choices=POSTPROCESS_TARGETS, default=None)
+
+
+def _add_negsub_flags(p: argparse.ArgumentParser) -> None:
+    # Unset flags are None: postprocess leaves them to NegSubConfig, a run to RunManifest.
+    p.add_argument("--n", type=int, default=None, help="post-process iterations")
+    p.add_argument("--k", type=int, default=None, help="post-process neighbors per iteration")
+    p.add_argument("--beta", type=float, default=None, help="post-process subtraction factor")
 
 
 @functools.cache
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="run the staged schedule on a world directory")
-    p.add_argument("--world", required=True)
+    p.add_argument("--world", dest="world_dir", metavar="WORLD", required=True)
     p.add_argument("--stages", dest="stages_file", default=None, help="JSON file; defaults to the built-in schedule")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="encoder checkpoint path")
@@ -158,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("postprocess", help="negative-subtraction post-process")
     p.add_argument("--negatives", required=True)
-    p.add_argument("--n", type=int, default=NegSubConfig.n)
-    p.add_argument("--k", type=int, default=NegSubConfig.k)
-    p.add_argument("--beta", type=float, default=NegSubConfig.beta)
+    _add_negsub_flags(p)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_postprocess)

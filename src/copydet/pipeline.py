@@ -40,42 +40,33 @@ class RunManifest:
 
     seed: int
     out_dir: str
-    n_train: int = WorldConfig.n_train
-    n_ref: int = WorldConfig.n_ref
-    n_query: int = WorldConfig.n_query
-    d_in: int = WorldConfig.d_in
-    copy_rate: float = WorldConfig.copy_rate
-    world_tier: str = WorldConfig.tier
+    world: WorldConfig = field(default_factory=WorldConfig)
     encoder_dim: int = 32
     encoder_hidden: int = 0
     bank_capacity: int = 2048
-    pos_margin: float = LossConfig.pos_margin
-    neg_margin: float = LossConfig.neg_margin
+    loss: LossConfig = field(default_factory=LossConfig)
     momentum: float = 0.9
     stages: list[StageConfig] = field(default_factory=default_stage_schedule)
-    negsub_n: int = NegSubConfig.n
-    negsub_k: int = NegSubConfig.k
-    negsub_beta: float = NegSubConfig.beta
+    negsub: NegSubConfig = field(default_factory=NegSubConfig)
     postprocess_targets: str = "both"
     per_query_k: int = 10
     tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
-        # Settings are checked here, so a bad one fails before any world is drawn.
+        # The nested configs check their own settings; the rest are checked
+        # here, so a bad one fails before any world is drawn.
         if self.postprocess_targets not in POSTPROCESS_TARGETS:
             raise ValueError(
                 f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
             )
-        if self.world_config().n_copy == 0:
+        if self.world.n_copy == 0:
             # micro_ap is undefined without a true pair.
             raise ValueError(
-                f"copy_rate {self.copy_rate} of n_query {self.n_query} gives 0 copy queries; a run needs at least 1"
+                f"copy_rate {self.world.copy_rate} of n_query {self.world.n_query} gives 0 copy queries; a run needs at least 1"
             )
         for name, low in (("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0),
                           ("bank_capacity", 0), ("momentum", 0)):
             check_at_least(name, getattr(self, name), low)
-        self.loss_config()
-        self.negsub_config()
         self.stages = [
             s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
             for s in self.stages
@@ -94,16 +85,6 @@ class RunManifest:
     def hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def world_config(self) -> WorldConfig:
-        return WorldConfig(n_train=self.n_train, n_ref=self.n_ref, n_query=self.n_query, d_in=self.d_in,
-                           copy_rate=self.copy_rate, tier=self.world_tier)
-
-    def negsub_config(self) -> NegSubConfig:
-        return NegSubConfig(n=self.negsub_n, k=self.negsub_k, beta=self.negsub_beta)
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(pos_margin=self.pos_margin, neg_margin=self.neg_margin)
 
 
 @dataclass
@@ -130,10 +111,9 @@ def train_encoder(
     rng = substream(manifest.seed, "train")
     encoder = Encoder.init(world.dim, manifest.encoder_dim, manifest.encoder_hidden, rng=rng)
     bank = MemoryBank(manifest.bank_capacity, manifest.encoder_dim)
-    loss_cfg = manifest.loss_config()
     metrics: list[dict] = []
     for stage in manifest.stages:
-        metrics.append(run_stage(encoder, world, stage, bank, rng, loss_cfg, manifest.momentum))
+        metrics.append(run_stage(encoder, world, stage, bank, rng, manifest.loss, manifest.momentum))
         if after_stage is not None:
             after_stage(encoder, stage, metrics[-1])
     return encoder, metrics
@@ -141,7 +121,7 @@ def train_encoder(
 
 def train_and_embed(manifest: RunManifest) -> TrainedRun:
     """World generation plus the staged schedule, evaluating after each stage."""
-    world = gen_world(manifest.seed, manifest.world_config())
+    world = gen_world(manifest.seed, manifest.world)
     stage_rows: list[dict] = []
 
     def evaluate_stage(encoder, stage, stage_metrics):
@@ -168,12 +148,11 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
 def _postprocess_eval(
     run: TrainedRun, negatives: EmbeddingSet, manifest: RunManifest
 ) -> tuple[dict, EmbeddingSet, EmbeddingSet]:
-    cfg = manifest.negsub_config()
     queries, refs = run.query_emb, run.ref_emb
     if manifest.postprocess_targets in ("queries", "both"):
-        queries = subtract_negatives_batch(queries, negatives, cfg)
+        queries = subtract_negatives_batch(queries, negatives, manifest.negsub)
     if manifest.postprocess_targets in ("references", "both"):
-        refs = subtract_negatives_batch(refs, negatives, cfg)
+        refs = subtract_negatives_batch(refs, negatives, manifest.negsub)
     return evaluate(build_candidates(queries, refs, manifest.per_query_k), run.world.gt), queries, refs
 
 
@@ -239,7 +218,7 @@ def swap_report(run: TrainedRun, manifest: RunManifest) -> dict:
     :func:`trend_report`."""
     baseline = evaluate(build_candidates(run.query_emb, run.ref_emb, manifest.per_query_k), run.world.gt)
     training, _, _ = _postprocess_eval(run, run.train_emb, manifest)
-    twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.world_config()))
+    twin_emb = run.encoder.encode_set(twin_pool(manifest.seed, manifest.world))
     twin, _, _ = _postprocess_eval(run, twin_emb, manifest)
     return _write_report(
         "negative-swap", run, manifest,

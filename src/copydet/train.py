@@ -16,7 +16,7 @@ query/reference pairs as extra positives.
 from __future__ import annotations
 
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
@@ -463,7 +463,8 @@ def config_from_dict(cls, d: dict, what: str):
     type, raise ValueError naming them, so a bad config file ends in a
     one-line message instead of a TypeError. A bool is no int here, and a
     float field takes an int; a list field's items are checked by the
-    class itself.
+    class itself. A dataclass-typed field is built from its own JSON
+    object, its errors named by the field.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -483,7 +484,9 @@ def config_from_dict(cls, d: dict, what: str):
         value = d[name]
         expected = get_origin(hint) or hint
         accepted = (int, float) if expected is float else expected
-        if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        if is_dataclass(expected):
+            d = {**d, name: config_from_dict(expected, value, name)}
+        elif isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
             raise ValueError(
                 f"{what} field {name!r} must be {expected.__name__}, got {type(value).__name__}"
             )

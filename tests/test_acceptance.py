@@ -18,6 +18,7 @@ from copydet import (
     NegSubConfig,
     RankedMatches,
     RunManifest,
+    WorldConfig,
     contrastive_loss,
     encoder_loss_and_grads,
     micro_ap,
@@ -360,7 +361,7 @@ class TestCriterion9Reproducibility:
     def test_identical_manifests_identical_artifacts(self, tmp_path):
         manifest = RunManifest(
             seed=11, out_dir=str(tmp_path / "run"),
-            n_train=128, n_ref=128, n_query=64, d_in=16, encoder_dim=8,
+            world=WorldConfig(n_train=128, n_ref=128, n_query=64, d_in=16), encoder_dim=8,
             bank_capacity=256,
             stages=[
                 dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),

@@ -1,6 +1,8 @@
 import argparse
+import copy
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from copydet import (
     EmbeddingSet,
     Encoder,
+    LossConfig,
     NegSubConfig,
     RunManifest,
     StageConfig,
@@ -27,12 +30,12 @@ from copydet.cli import _add_run_flags, _manifest_from_args, build_parser, main
 from copydet.pipeline import POSTPROCESS_TARGETS, _postprocess_eval, train_and_embed, train_encoder
 
 
+TINY_WORLD = WorldConfig(n_train=64, n_ref=64, n_query=32, d_in=8)
+
+
 def tiny_manifest(out_dir, seed=3, **kw):
     defaults = dict(
-        n_train=64,
-        n_ref=64,
-        n_query=32,
-        d_in=8,
+        world=TINY_WORLD,
         encoder_dim=4,
         bank_capacity=128,
         stages=[
@@ -66,6 +69,17 @@ class TestManifest:
         d = json.loads(tiny_manifest(tmp_path).to_json())
         with pytest.raises(ValueError, match=r"unknown manifest field\(s\): bogus, extra"):
             RunManifest.from_dict({**d, "bogus": 1, "extra": 2})
+        with pytest.raises(ValueError, match=r"^unknown world field\(s\): bogus$"):
+            RunManifest.from_dict({**d, "world": {**d["world"], "bogus": 1}})
+        # A manifest.json written while the settings were flat fails loudly.
+        flat = {name: value for name, value in d.items() if name not in ("world", "loss", "negsub")}
+        flat.update(n_train=64, n_ref=64, n_query=32, d_in=8, copy_rate=0.25, world_tier="strong",
+                    pos_margin=0.0, neg_margin=1.0, negsub_n=1, negsub_k=10, negsub_beta=0.35)
+        with pytest.raises(ValueError, match=(
+            r"^unknown manifest field\(s\): copy_rate, d_in, n_query, n_ref, n_train, neg_margin, "
+            r"negsub_beta, negsub_k, negsub_n, pos_margin, world_tier$"
+        )):
+            RunManifest.from_dict(flat)
         del d["seed"]
         with pytest.raises(ValueError, match=r"missing manifest field\(s\): seed"):
             RunManifest.from_dict(d)
@@ -78,9 +92,11 @@ class TestManifest:
         d = json.loads(tiny_manifest(tmp_path).to_json())
         for field, value, message in [
             ("seed", "3", "manifest field 'seed' must be int, got str"),
-            ("n_train", True, "manifest field 'n_train' must be int, got bool"),
+            ("encoder_dim", True, "manifest field 'encoder_dim' must be int, got bool"),
             ("out_dir", 7, "manifest field 'out_dir' must be str, got int"),
             ("stages", {}, "manifest field 'stages' must be list, got dict"),
+            ("world", {**d["world"], "n_train": True}, "world field 'n_train' must be int, got bool"),
+            ("negsub", [1, 10, 0.35], "negsub must be a JSON object, got list"),
         ]:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 RunManifest.from_dict({**d, field: value})
@@ -88,23 +104,25 @@ class TestManifest:
         with pytest.raises(ValueError, match="^stage field 'lr' must be float, got str$"):
             RunManifest.from_dict({**d, "stages": [bad_stage]})
         # A float field takes an int; the value is kept as given.
-        assert RunManifest.from_dict({**d, "copy_rate": 1}).copy_rate == 1
+        assert RunManifest.from_dict({**d, "world": {**d["world"], "copy_rate": 1}}).world.copy_rate == 1
 
     @pytest.mark.parametrize("margin", [float("inf"), float("nan")])
     def test_non_finite_neg_margin_rejected(self, margin):
         with pytest.raises(ValueError, match=f"^neg_margin must be >= 0, got {margin}$"):
-            RunManifest(seed=0, out_dir="", neg_margin=margin)
+            RunManifest.from_dict({"seed": 0, "out_dir": "", "loss": {"neg_margin": margin}})
 
     def test_bad_targets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="postprocess_targets"):
             tiny_manifest(tmp_path, postprocess_targets="everything")
 
     def test_bad_world_tier_rejected(self, tmp_path):
+        d = json.loads(tiny_manifest(tmp_path).to_json())
         with pytest.raises(ValueError, match=r"^unknown tier 'bogus', expected one of \(.*\)$"):
-            tiny_manifest(tmp_path, world_tier="bogus")
+            RunManifest.from_dict({**d, "world": {**d["world"], "tier": "bogus"}})
 
     def test_world_defaults_are_world_config_defaults(self):
-        assert RunManifest(seed=0, out_dir="").world_config() == WorldConfig()
+        manifest = RunManifest(seed=0, out_dir="")
+        assert (manifest.world, manifest.loss, manifest.negsub) == (WorldConfig(), LossConfig(), NegSubConfig())
 
 
 class TestReproduceTrend:
@@ -146,8 +164,7 @@ class TestReproduceTrend:
         # query to its source exactly, before and after the post-process.
         manifest = tiny_manifest(
             tmp_path / "run",
-            copy_rate=1.0,
-            world_tier="none",
+            world=replace(TINY_WORLD, copy_rate=1.0, tier="none"),
             stages=[dict(index=1, tier="none", epochs=0)],
         )
         report = reproduce_trend(manifest)
@@ -315,7 +332,7 @@ class TestCli:
         # CLI train and the pipeline share one stage loop: the same seed,
         # sizes and schedule give the same checkpoint bytes and losses.
         self._gen(tmp_path, capsys)
-        manifest = tiny_manifest(tmp_path / "run", seed=7, copy_rate=0.5)
+        manifest = tiny_manifest(tmp_path / "run", seed=7, world=replace(TINY_WORLD, copy_rate=0.5))
         stages = tmp_path / "stages.json"
         stages.write_text(json.dumps([s.to_dict() for s in manifest.stages]))
         rc = main([
@@ -431,6 +448,16 @@ class TestCli:
             NegSubConfig(n=1, k=5, beta=0.35),
         )
         assert processed.matrix.tobytes() == want.matrix.tobytes()
+        # Unset --n, --k and --beta take NegSubConfig's defaults.
+        rc = main([
+            "postprocess", "--negatives", str(tmp_path / "training.emb"),
+            "--in", str(tmp_path / "queries.emb"), "--out", str(tmp_path / "queries_default.emb"),
+        ])
+        assert rc == 0
+        want = subtract_negatives_batch(
+            read_embeddings(tmp_path / "queries.emb"), read_embeddings(tmp_path / "training.emb"), NegSubConfig()
+        )
+        assert read_embeddings(tmp_path / "queries_default.emb").matrix.tobytes() == want.matrix.tobytes()
 
         rc = main([
             "search", "--queries", str(tmp_path / "queries_post.emb"),
@@ -859,21 +886,22 @@ class TestCli:
 
 
 # Every run flag but --seed, --out-dir and --stages, with a non-default
-# value and the manifest field it sets.
+# value, the manifest config it sets (None for the manifest itself) and
+# the field of that config.
 _RUN_FLAGS = [
-    ("--n-train", "96", "n_train", 96),
-    ("--n-ref", "320", "n_ref", 320),
-    ("--n-query", "24", "n_query", 24),
-    ("--dim", "12", "d_in", 12),
-    ("--copy-rate", "0.5", "copy_rate", 0.5),
-    ("--world-tier", "weak", "world_tier", "weak"),
-    ("--encoder-dim", "6", "encoder_dim", 6),
-    ("--bank-capacity", "0", "bank_capacity", 0),
-    ("--per-query-k", "3", "per_query_k", 3),
-    ("--n", "2", "negsub_n", 2),
-    ("--k", "7", "negsub_k", 7),
-    ("--beta", "0.2", "negsub_beta", 0.2),
-    ("--postprocess-targets", "queries", "postprocess_targets", "queries"),
+    ("--n-train", "96", "world", "n_train", 96),
+    ("--n-ref", "320", "world", "n_ref", 320),
+    ("--n-query", "24", "world", "n_query", 24),
+    ("--dim", "12", "world", "d_in", 12),
+    ("--copy-rate", "0.5", "world", "copy_rate", 0.5),
+    ("--world-tier", "weak", "world", "tier", "weak"),
+    ("--encoder-dim", "6", None, "encoder_dim", 6),
+    ("--bank-capacity", "0", None, "bank_capacity", 0),
+    ("--per-query-k", "3", None, "per_query_k", 3),
+    ("--n", "2", "negsub", "n", 2),
+    ("--k", "7", "negsub", "k", 7),
+    ("--beta", "0.2", "negsub", "beta", 0.2),
+    ("--postprocess-targets", "queries", None, "postprocess_targets", "queries"),
 ]
 
 
@@ -883,17 +911,19 @@ class TestRunFlags:
         _add_run_flags(p)
         flags = {flag for action in p._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == (
-            {flag for flag, _, _, _ in _RUN_FLAGS} | {"--seed", "--out-dir", "--stages"}
+            {flag for flag, *_ in _RUN_FLAGS} | {"--seed", "--out-dir", "--stages"}
         )
 
     @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
-    @pytest.mark.parametrize("flag, value, field, expected", _RUN_FLAGS)
-    def test_flag_sets_its_manifest_field(self, tmp_path, command, flag, value, field, expected):
+    @pytest.mark.parametrize("flag, value, config, field, expected", _RUN_FLAGS)
+    def test_flag_sets_its_manifest_field(self, tmp_path, command, flag, value, config, field, expected):
         base = [command, "--seed", "4", "--out-dir", str(tmp_path)]
         manifest = _manifest_from_args(build_parser().parse_args(base + [flag, value]))
-        default = RunManifest(seed=4, out_dir=str(tmp_path))
-        assert getattr(default, field) != expected
-        assert manifest.to_dict() == {**default.to_dict(), field: expected}
+        default = RunManifest(seed=4, out_dir=str(tmp_path)).to_dict()
+        want = copy.deepcopy(default)
+        (want if config is None else want[config])[field] = expected
+        assert want != default
+        assert manifest.to_dict() == want
 
     @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
     def test_stages_flag_sets_the_schedule(self, tmp_path, command):
