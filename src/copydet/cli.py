@@ -125,11 +125,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bank-capacity", type=int, default=None)
     p.add_argument("--per-query-k", type=int, default=None)
     p.add_argument("--stages", dest="stages_file", default=None, help="JSON file with the stage schedule")
-    _add_negsub_flags(p)
+    _add_postprocess_flags(p)
     p.add_argument("--postprocess-targets", choices=POSTPROCESS_TARGETS, default=None)
 
 
-def _add_negsub_flags(p: argparse.ArgumentParser) -> None:
+def _add_postprocess_flags(p: argparse.ArgumentParser) -> None:
     # Unset flags are None: postprocess leaves them to NegSubConfig, a run to RunManifest.
     p.add_argument("--n", type=int, default=None, help="post-process iterations")
     p.add_argument("--k", type=int, default=None, help="post-process neighbors per iteration")
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("postprocess", help="negative-subtraction post-process")
     p.add_argument("--negatives", required=True)
-    _add_negsub_flags(p)
+    _add_postprocess_flags(p)
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_postprocess)
