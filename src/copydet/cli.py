@@ -14,7 +14,6 @@ from .embedding import read_embeddings, read_text, write_embeddings
 from .errors import CopyDetError, FormatError
 from .metrics import TARGET_PRECISION, build_candidates, evaluate, read_gt_csv, read_matches_tsv, write_matches_tsv
 from .pipeline import (
-    POSTPROCESS_TARGETS,
     RunManifest,
     negative_swap,
     render_report_json,
@@ -126,7 +125,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--per-query-k", type=int, default=None)
     p.add_argument("--stages", dest="stages_file", default=None, help="JSON file with the stage schedule")
     _add_postprocess_flags(p)
-    p.add_argument("--postprocess-targets", choices=POSTPROCESS_TARGETS, default=None)
 
 
 def _add_postprocess_flags(p: argparse.ArgumentParser) -> None:
@@ -152,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="encoder checkpoint path")
     # Unset flags take RunManifest's defaults, as a run's do.
-    p.add_argument("--dim", dest="encoder_dim", type=int, default=None, help="descriptor dimension")
+    p.add_argument("--dim", dest="encoder_dim", type=int, default=None,
+                   help="encoder output (descriptor) width, which a run sets with --encoder-dim")
     p.add_argument("--hidden", dest="encoder_hidden", type=int, default=None, help="hidden width, 0 for linear")
     p.add_argument("--bank-capacity", type=int, default=None)
     p.set_defaults(func=_cmd_train)

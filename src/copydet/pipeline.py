@@ -31,8 +31,6 @@ from .train import (
 
 TOOL_VERSION = "0.1.0"
 
-POSTPROCESS_TARGETS = ("queries", "references", "both")
-
 
 @dataclass
 class RunManifest:
@@ -48,17 +46,12 @@ class RunManifest:
     momentum: float = 0.9
     stages: list[StageConfig] = field(default_factory=default_stage_schedule)
     negsub: NegSubConfig = field(default_factory=NegSubConfig)
-    postprocess_targets: str = "both"
     per_query_k: int = 10
     tool_version: str = TOOL_VERSION
 
     def __post_init__(self) -> None:
         # The nested configs check their own settings; the rest are checked
         # here, so a bad one fails before any world is drawn.
-        if self.postprocess_targets not in POSTPROCESS_TARGETS:
-            raise ValueError(
-                f"postprocess_targets must be one of {POSTPROCESS_TARGETS}"
-            )
         if self.world.n_copy == 0:
             # micro_ap is undefined without a true pair.
             raise ValueError(
@@ -67,10 +60,6 @@ class RunManifest:
         for name, low in (("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0),
                           ("bank_capacity", 0), ("momentum", 0)):
             check_at_least(name, getattr(self, name), low)
-        self.stages = [
-            s if isinstance(s, StageConfig) else StageConfig.from_dict(s)
-            for s in self.stages
-        ]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -148,11 +137,8 @@ def train_and_embed(manifest: RunManifest) -> TrainedRun:
 def _postprocess_eval(
     run: TrainedRun, negatives: EmbeddingSet, manifest: RunManifest
 ) -> tuple[dict, EmbeddingSet, EmbeddingSet]:
-    queries, refs = run.query_emb, run.ref_emb
-    if manifest.postprocess_targets in ("queries", "both"):
-        queries = subtract_negatives_batch(queries, negatives, manifest.negsub)
-    if manifest.postprocess_targets in ("references", "both"):
-        refs = subtract_negatives_batch(refs, negatives, manifest.negsub)
+    queries = subtract_negatives_batch(run.query_emb, negatives, manifest.negsub)
+    refs = subtract_negatives_batch(run.ref_emb, negatives, manifest.negsub)
     return evaluate(build_candidates(queries, refs, manifest.per_query_k), run.world.gt), queries, refs
 
 
@@ -195,7 +181,6 @@ def trend_report(run: TrainedRun, manifest: RunManifest) -> dict:
     write_embeddings(run.train_emb, emb_dir / "training.emb")
     write_embeddings(run.ref_emb, emb_dir / "reference.emb")
     write_embeddings(run.query_emb, emb_dir / "queries.emb")
-    # The descriptors the post row ranked, whether or not its targets include them.
     write_embeddings(post_q, emb_dir / "queries_post.emb")
     write_embeddings(post_r, emb_dir / "reference_post.emb")
     report = _write_report("reproduce-trend", run, manifest, rows=rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -126,16 +126,15 @@ def _sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _batch(embeddings, labels, dim: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _batch(embeddings, labels, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The one check of a training batch, for the loss and the bank: 2-d rows
-    (``dim`` wide unless None) and 1-d labels of their length, else
-    ShapeMismatch; integer labels unless there are none, else ValueError, as
-    an int64 store would merge 1.5 and 1.2. Returns float64 rows, int64 labels."""
+    ``dim`` wide and 1-d labels of their length, else ShapeMismatch; integer
+    labels unless there are none, else ValueError, as an int64 store would
+    merge 1.5 and 1.2. Returns float64 rows, int64 labels."""
     E = np.asarray(embeddings, dtype=np.float64)
     labs = np.asarray(labels)
-    if E.ndim != 2 or labs.shape != E.shape[:1] or dim not in (None, E.shape[1]):
-        bank = "" if dim is None else f" for a bank of dim {dim}"
-        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape}{bank}")
+    if E.ndim != 2 or labs.shape != E.shape[:1] or E.shape[1] != dim:
+        raise ShapeMismatch(f"embeddings {E.shape} vs labels {labs.shape} for a bank of dim {dim}")
     if labs.size and not np.issubdtype(labs.dtype, np.integer):
         raise ValueError(f"labels must be integers, got {labs.dtype}")
     return E, labs.astype(np.int64, copy=False)
@@ -205,7 +204,7 @@ def _loss_pairs(
 def contrastive_loss(
     embeddings: np.ndarray,
     labels: np.ndarray,
-    bank: MemoryBank | None,
+    bank: MemoryBank,
     cfg: LossConfig,
 ) -> tuple[float, np.ndarray]:
     """Mean hinge loss over all counted pairs, plus descriptor gradients.
@@ -215,19 +214,18 @@ def contrastive_loss(
     labels max(0, neg_margin - d), with d the Euclidean distance. The mean
     runs over all counted pairs, active or not. Returns the loss and the
     gradient with respect to each batch embedding; bank entries get none.
-    ``bank=None`` is an empty bank. The batch is checked as the bank
-    checks a push, by :func:`_batch`.
+    A capacity-0 bank is no bank. The batch is checked as the bank checks
+    a push, by :func:`_batch`.
 
     Few pairs are active, so past the one distance gemm the work follows
     the candidate pairs that :func:`_loss_pairs` picks: the same-label
     ones, and the different-label ones that one threshold pass finds
     inside the negative margin. This function only reduces them.
     """
-    E, labs = _batch(embeddings, labels, None if bank is None else bank.dim)
+    E, labs = _batch(embeddings, labels, bank.dim)
     b, dim = E.shape
     if not b:
         raise EmptyBatch("contrastive_loss needs a nonempty batch")
-    bank = MemoryBank(0, dim) if bank is None else bank
     num_pairs = b * (b - 1) // 2 + b * len(bank)
     if num_pairs == 0:
         return 0.0, np.zeros_like(E)
@@ -308,13 +306,11 @@ class Encoder:
                 raise ShapeMismatch("hidden layer width mismatch between layers")
 
     @classmethod
-    def init(cls, d_in: int, d_out: int, hidden: int = 0, rng: np.random.Generator | None = None) -> "Encoder":
-        """Random init, scaled by 1/sqrt(fan_in); biases zero. Hidden width 0
-        is a linear encoder."""
+    def init(cls, d_in: int, d_out: int, hidden: int = 0, *, rng: np.random.Generator) -> "Encoder":
+        """Random init from ``rng``, scaled by 1/sqrt(fan_in); biases zero.
+        Hidden width 0 is a linear encoder."""
         check_at_least("hidden width", hidden, 0)
         check_at_least("output width", d_out, 1)
-        if rng is None:
-            rng = np.random.default_rng(0)
         widths = [d_in, hidden, d_out] if hidden > 0 else [d_in, d_out]
         return cls([
             (rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in), np.zeros(fan_out))
@@ -417,7 +413,7 @@ def encoder_loss_and_grads(
     encoder: Encoder,
     x: np.ndarray,
     labels: np.ndarray,
-    bank: MemoryBank | None,
+    bank: MemoryBank,
     cfg: LossConfig,
 ) -> tuple[float, list[np.ndarray], np.ndarray]:
     """Loss over encoded inputs plus analytic parameter gradients.
@@ -448,13 +444,6 @@ class StageConfig:
         for name, low in (("epochs", 0), ("batch_size", 1), ("ref_per_batch", 0), ("gt_per_batch", 0), ("lr", 0)):
             check_at_least(f"stage field {name!r}", getattr(self, name), low)
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageConfig":
-        return config_from_dict(cls, d, "stage")
-
 
 def config_from_dict(cls, d: dict, what: str):
     """Build the dataclass ``cls`` from a mapping read from a file.
@@ -462,9 +451,9 @@ def config_from_dict(cls, d: dict, what: str):
     Unknown and missing fields, and values not of their field's declared
     type, raise ValueError naming them, so a bad config file ends in a
     one-line message instead of a TypeError. A bool is no int here, and a
-    float field takes an int; a list field's items are checked by the
-    class itself. A dataclass-typed field is built from its own JSON
-    object, its errors named by the field.
+    float field takes an int. A dataclass-typed field is built from its
+    own JSON object, its errors named by the field, and a list of
+    dataclasses item by item, its errors named ``field[i]``.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -490,6 +479,8 @@ def config_from_dict(cls, d: dict, what: str):
             raise ValueError(
                 f"{what} field {name!r} must be {expected.__name__}, got {type(value).__name__}"
             )
+        elif expected is list and is_dataclass(item := get_args(hint)[0]):
+            d = {**d, name: [config_from_dict(item, v, f"{name}[{i}]") for i, v in enumerate(value)]}
     return cls(**d)
 
 

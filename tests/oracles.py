@@ -131,7 +131,7 @@ def reference_contrastive_loss(embeddings, labels, bank, cfg):
     E = np.asarray(embeddings, dtype=np.float64)
     labs = np.asarray(labels)
     b = E.shape[0]
-    if bank is not None and len(bank) > 0:
+    if len(bank) > 0:
         bank_e, bank_labs = bank_contents(bank)
     else:
         bank_e = np.zeros((0, E.shape[1]))

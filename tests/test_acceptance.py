@@ -18,6 +18,7 @@ from copydet import (
     NegSubConfig,
     RankedMatches,
     RunManifest,
+    StageConfig,
     WorldConfig,
     contrastive_loss,
     encoder_loss_and_grads,
@@ -194,9 +195,8 @@ class TestCriterion4GradientCorrectness:
             batch = int(rng.integers(2, 8))
             x = rng.standard_normal((batch, 6))
             labels = rng.integers(0, 3, size=batch)
-            bank = None
-            if trial % 2 == 0:
-                bank = MemoryBank(16, 4)
+            bank = MemoryBank(16 if trial % 2 == 0 else 0, 4)
+            if bank.capacity:
                 size = int(rng.integers(1, 10))
                 bank.push(unit_rows(rng, size, 4), rng.integers(0, 3, size=size))
             cfg = LossConfig(
@@ -364,9 +364,9 @@ class TestCriterion9Reproducibility:
             world=WorldConfig(n_train=128, n_ref=128, n_query=64, d_in=16), encoder_dim=8,
             bank_capacity=256,
             stages=[
-                dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
-                dict(index=2, tier="strong", include_reference_negatives=True,
-                     include_gt_positives=True, epochs=1, lr=0.1, batch_size=16),
+                StageConfig(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
+                StageConfig(index=2, tier="strong", include_reference_negatives=True,
+                            include_gt_positives=True, epochs=1, lr=0.1, batch_size=16),
             ],
         )
         first = reproduce_trend(manifest)

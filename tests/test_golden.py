@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 import copydet
-from copydet import EmbeddingSet, Encoder, RunManifest, WorldConfig, write_embeddings
+from copydet import EmbeddingSet, Encoder, RunManifest, StageConfig, WorldConfig, write_embeddings
 
 GOLDEN = {
     "embeddings/queries.emb": "473471e985ad73d58a8601b7b1cfc1a1dfd1b0153c115a7eeedd3d36e306e701",
@@ -35,7 +35,7 @@ GOLDEN = {
     "embeddings/reference.emb": "02e5f1d809fb1783e0d967893204b8d30f571040b6910a598d8c3bf51560d0b0",
     "embeddings/reference_post.emb": "84b1a4d36d967b230ee42b6f83654e952803c132f5fe0bee6342ff57559225a3",
     "embeddings/training.emb": "83ad268b9eb821b3f43fa5194ded343e8d67458b7387a3ba81ca144e26560c4b",
-    "report.json": "93454fc04d4f333b14fac1f4b30e5997fa36df0bfc57f633232d0bfceffdfb5a",
+    "report.json": "e51f7fcae83e6b2e26daa692890595867fecb7e3b0617c613510bc622e2fa9a9",
     "world/queries.emb": "eb54467f6d87aaa9f6f6ae3c1ff29394d4243a4b14179708aabea4bdbb474b36",
     "world/reference.emb": "3fe5213061a80ab9064e075fd84811eebf68da9d159abcf0f72b8eb0119778df",
     "world/training.emb": "27098f4adf593c31529947c7f5c3f2e91a0f4012a616671ad8398963ec116a44",
@@ -54,9 +54,9 @@ def _manifest(out_dir):
         world=WorldConfig(n_train=128, n_ref=128, n_query=64, d_in=16), encoder_dim=8,
         bank_capacity=256,
         stages=[
-            dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
-            dict(index=2, tier="strong", include_reference_negatives=True,
-                 include_gt_positives=True, epochs=1, lr=0.1, batch_size=16),
+            StageConfig(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
+            StageConfig(index=2, tier="strong", include_reference_negatives=True,
+                        include_gt_positives=True, epochs=1, lr=0.1, batch_size=16),
         ],
     )
 
@@ -85,7 +85,7 @@ def test_small_manifest_artifacts_match_golden_hashes(tmp_path):
 
 # negative-swap's report covers its twin pool: a fresh draw the post-process
 # uses in place of the training pool.
-GOLDEN_SWAP_REPORT = "6b45a5f20b99a9d4cf294459491e30e009307196d69f36be229d63691fcdfbfc"
+GOLDEN_SWAP_REPORT = "717f8601c45687ffafd89512324b3db8e03543d881fa0152f30ac5c245c41c00"
 
 _SWAP_CHILD = _CHILD.replace("reproduce_trend", "negative_swap")
 

@@ -2,7 +2,7 @@ import argparse
 import copy
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from copydet import (
     write_embeddings,
 )
 from copydet.cli import _add_run_flags, _manifest_from_args, build_parser, main
-from copydet.pipeline import POSTPROCESS_TARGETS, _postprocess_eval, train_and_embed, train_encoder
+from copydet.pipeline import _postprocess_eval, train_and_embed, train_encoder
 
 
 TINY_WORLD = WorldConfig(n_train=64, n_ref=64, n_query=32, d_in=8)
@@ -39,8 +39,8 @@ def tiny_manifest(out_dir, seed=3, **kw):
         encoder_dim=4,
         bank_capacity=128,
         stages=[
-            dict(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
-            dict(
+            StageConfig(index=1, tier="weak", epochs=1, lr=0.3, batch_size=16),
+            StageConfig(
                 index=2, tier="strong", include_reference_negatives=True,
                 include_gt_positives=True, epochs=1, lr=0.1, batch_size=16,
                 ref_per_batch=4, gt_per_batch=2,
@@ -69,6 +69,9 @@ class TestManifest:
         d = json.loads(tiny_manifest(tmp_path).to_json())
         with pytest.raises(ValueError, match=r"unknown manifest field\(s\): bogus, extra"):
             RunManifest.from_dict({**d, "bogus": 1, "extra": 2})
+        # A manifest.json written while a run could post-process one side only fails loudly.
+        with pytest.raises(ValueError, match=r"^unknown manifest field\(s\): postprocess_targets$"):
+            RunManifest.from_dict({**d, "postprocess_targets": "both"})
         with pytest.raises(ValueError, match=r"^unknown world field\(s\): bogus$"):
             RunManifest.from_dict({**d, "world": {**d["world"], "bogus": 1}})
         # A manifest.json written while the settings were flat fails loudly.
@@ -80,13 +83,13 @@ class TestManifest:
             r"negsub_beta, negsub_k, negsub_n, pos_margin, world_tier$"
         )):
             RunManifest.from_dict(flat)
+        with pytest.raises(ValueError, match=r"^missing stages\[0\] field\(s\): tier$"):
+            RunManifest.from_dict({**d, "stages": [{"index": 1}]})
+        with pytest.raises(ValueError, match=r"^stages\[0\] must be a JSON object, got list$"):
+            RunManifest.from_dict({**d, "stages": [[1, "weak"]]})
         del d["seed"]
         with pytest.raises(ValueError, match=r"missing manifest field\(s\): seed"):
             RunManifest.from_dict(d)
-        with pytest.raises(ValueError, match=r"missing stage field\(s\): tier"):
-            StageConfig.from_dict({"index": 1})
-        with pytest.raises(ValueError, match="stage must be a JSON object"):
-            StageConfig.from_dict([1, "weak"])
 
     def test_mistyped_manifest_fields_rejected(self, tmp_path):
         d = json.loads(tiny_manifest(tmp_path).to_json())
@@ -101,8 +104,12 @@ class TestManifest:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 RunManifest.from_dict({**d, field: value})
         bad_stage = {**d["stages"][0], "lr": "0.1"}
-        with pytest.raises(ValueError, match="^stage field 'lr' must be float, got str$"):
+        with pytest.raises(ValueError, match=r"^stages\[0\] field 'lr' must be float, got str$"):
             RunManifest.from_dict({**d, "stages": [bad_stage]})
+        # Each item is named by its position in the list.
+        stages = [d["stages"][0], {**d["stages"][1], "epochs": "2"}]
+        with pytest.raises(ValueError, match=r"^stages\[1\] field 'epochs' must be int, got str$"):
+            RunManifest.from_dict({**d, "stages": stages})
         # A float field takes an int; the value is kept as given.
         assert RunManifest.from_dict({**d, "world": {**d["world"], "copy_rate": 1}}).world.copy_rate == 1
 
@@ -110,10 +117,6 @@ class TestManifest:
     def test_non_finite_neg_margin_rejected(self, margin):
         with pytest.raises(ValueError, match=f"^neg_margin must be >= 0, got {margin}$"):
             RunManifest.from_dict({"seed": 0, "out_dir": "", "loss": {"neg_margin": margin}})
-
-    def test_bad_targets_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="postprocess_targets"):
-            tiny_manifest(tmp_path, postprocess_targets="everything")
 
     def test_bad_world_tier_rejected(self, tmp_path):
         d = json.loads(tiny_manifest(tmp_path).to_json())
@@ -165,15 +168,14 @@ class TestReproduceTrend:
         manifest = tiny_manifest(
             tmp_path / "run",
             world=replace(TINY_WORLD, copy_rate=1.0, tier="none"),
-            stages=[dict(index=1, tier="none", epochs=0)],
+            stages=[StageConfig(index=1, tier="none", epochs=0)],
         )
         report = reproduce_trend(manifest)
         assert report["rows"][0]["micro_ap"] == 1.0
         assert report["rows"][-1]["micro_ap"] == 1.0
 
-    @pytest.mark.parametrize("targets", POSTPROCESS_TARGETS)
-    def test_post_files_hold_what_the_post_row_ranked(self, tmp_path, capsys, targets):
-        manifest = tiny_manifest(tmp_path / "run", postprocess_targets=targets)
+    def test_post_files_hold_what_the_post_row_ranked(self, tmp_path, capsys):
+        manifest = tiny_manifest(tmp_path / "run")
         report = reproduce_trend(manifest)
         emb = tmp_path / "run" / "embeddings"
         ranked = build_candidates(
@@ -193,10 +195,6 @@ class TestReproduceTrend:
         printed = json.loads(capsys.readouterr().out)
         for key in ("micro_ap", "recall_at_p90"):
             assert printed[key] == report["rows"][-1][key]
-        # An untargeted side is ranked, and written, unprocessed.
-        for side, target in [("queries", "queries"), ("reference", "references")]:
-            same = (emb / f"{side}_post.emb").read_bytes() == (emb / f"{side}.emb").read_bytes()
-            assert same == (targets not in (target, "both"))
 
     def test_text_table_mentions_every_row(self, tmp_path):
         manifest = tiny_manifest(tmp_path / "run")
@@ -334,7 +332,7 @@ class TestCli:
         self._gen(tmp_path, capsys)
         manifest = tiny_manifest(tmp_path / "run", seed=7, world=replace(TINY_WORLD, copy_rate=0.5))
         stages = tmp_path / "stages.json"
-        stages.write_text(json.dumps([s.to_dict() for s in manifest.stages]))
+        stages.write_text(json.dumps([asdict(s) for s in manifest.stages]))
         rc = main([
             "train", "--world", str(tmp_path / "world"), "--stages", str(stages),
             "--seed", "7", "--out", str(tmp_path / "cli.bin"), "--dim", "4",
@@ -394,7 +392,7 @@ class TestCli:
         assert not (tmp_path / "out.emb").exists()
 
     def test_embed_dim_mismatch_exit_1(self, tmp_path, capsys):
-        Encoder.init(8, 4).save(tmp_path / "enc.bin")
+        Encoder.init(8, 4, rng=np.random.default_rng(0)).save(tmp_path / "enc.bin")
         write_embeddings(EmbeddingSet(("a", "b"), np.ones((2, 16)), unit_norm=False), tmp_path / "raw.emb")
         rc = main(["embed", "--encoder", str(tmp_path / "enc.bin"), "--in", str(tmp_path / "raw.emb"),
                    "--out", str(tmp_path / "out.emb")])
@@ -687,13 +685,13 @@ class TestCli:
     def test_unknown_stage_field_exit_1(self, tmp_path, capsys):
         rc = self._trend_with_stages(tmp_path, [dict(index=1, tier="weak", bogus=1)])
         assert rc == 1
-        assert capsys.readouterr().err == "copydet: unknown stage field(s): bogus\n"
+        assert capsys.readouterr().err == "copydet: unknown stages[0] field(s): bogus\n"
 
     _MISTYPED = [
-        ("epochs", "2", "stage field 'epochs' must be int, got str"),
-        ("batch_size", 2.5, "stage field 'batch_size' must be int, got float"),
-        ("lr", "0.1", "stage field 'lr' must be float, got str"),
-        ("epochs", True, "stage field 'epochs' must be int, got bool"),
+        ("epochs", "2", "stages[0] field 'epochs' must be int, got str"),
+        ("batch_size", 2.5, "stages[0] field 'batch_size' must be int, got float"),
+        ("lr", "0.1", "stages[0] field 'lr' must be float, got str"),
+        ("epochs", True, "stages[0] field 'epochs' must be int, got bool"),
     ]
 
     @pytest.mark.parametrize("field, value, message", _MISTYPED)
@@ -901,7 +899,6 @@ _RUN_FLAGS = [
     ("--n", "2", "negsub", "n", 2),
     ("--k", "7", "negsub", "k", 7),
     ("--beta", "0.2", "negsub", "beta", 0.2),
-    ("--postprocess-targets", "queries", None, "postprocess_targets", "queries"),
 ]
 
 
@@ -934,4 +931,4 @@ class TestRunFlags:
         manifest = _manifest_from_args(build_parser().parse_args(argv))
         default = RunManifest(seed=4, out_dir=str(tmp_path))
         assert manifest.stages == [StageConfig(**stages[0])]
-        assert manifest.to_dict() == {**default.to_dict(), "stages": [manifest.stages[0].to_dict()]}
+        assert manifest.to_dict() == {**default.to_dict(), "stages": [asdict(manifest.stages[0])]}

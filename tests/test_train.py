@@ -36,13 +36,13 @@ from oracles import bank_contents, central_differences, loss_pairs_oracle, refer
 
 
 # Batches a bank of dim 3 cannot take: 0-d or 2-d labels, and rows wider or
-# narrower than the bank's. Only the label shapes are wrong without a bank.
+# narrower than the bank's.
 BAD_LABELS = [(np.ones((1, 3)), np.array(0)), (np.ones((2, 3)), np.array([[0], [1]]))]
 BAD_BATCHES = BAD_LABELS + [(np.ones((2, 4)), np.array([0, 1])), (np.ones((2, 2)), np.array([0, 1]))]
 
 
-def shape_message(emb, labels, bank=""):
-    return "^" + re.escape(f"embeddings {emb.shape} vs labels {labels.shape}{bank}") + "$"
+def shape_message(emb, labels):
+    return "^" + re.escape(f"embeddings {emb.shape} vs labels {labels.shape} for a bank of dim 3") + "$"
 
 
 def pair_at_distance(d):
@@ -76,9 +76,9 @@ def dyadic_rows(rng, count, dim):
     return rng.integers(-8, 9, size=(count, dim)) / 8.0
 
 
-# Bank state: (capacity, rows pushed before the loss call); None is no bank.
+# Bank state: (capacity, rows pushed before the loss call); capacity 0 is no bank.
 _BANK_STATES = {
-    "none": None,
+    "none": (0, 0),
     "empty": (12, 0),
     "partial": (12, 6),
     "wrapped": (12, 27),
@@ -97,17 +97,15 @@ def fused_loss_cases(bank_state, duplicates):
         if trial % 3 == 1:
             emb = emb * (rng.integers(2, 25, size=(b, 1)) / 8.0)  # off the sphere
         labels = rng.integers(0, 4, size=b)
-        bank = None
-        if _BANK_STATES[bank_state] is not None:
-            capacity, fill = _BANK_STATES[bank_state]
-            bank = MemoryBank(capacity, dim)
-            for chunk in np.array_split(np.arange(fill), 3):
-                if len(chunk):
-                    bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
+        capacity, fill = _BANK_STATES[bank_state]
+        bank = MemoryBank(capacity, dim)
+        for chunk in np.array_split(np.arange(fill), 3):
+            if len(chunk):
+                bank.push(draw(rng, len(chunk), dim), rng.integers(0, 4, size=len(chunk)))
         if duplicates in ("same_label", "other_label") and b > 1:
             emb[1] = emb[0]
             labels[1] = labels[0] + (duplicates == "other_label")
-        if duplicates == "bank_row" and bank is not None and len(bank):
+        if duplicates == "bank_row" and len(bank):
             bank_rows, bank_labels = bank_contents(bank)
             emb[0] = bank_rows[-1]
             labels[0] = bank_labels[-1] + trial % 2
@@ -140,8 +138,6 @@ class TestLossPairs:
     @every_loss_case
     def test_candidates_match_the_full_matrix(self, bank_state, duplicates):
         for emb, labels, bank, cfg in fused_loss_cases(bank_state, duplicates):
-            if bank is None:
-                bank = MemoryBank(0, emb.shape[1])
             X, rows, cols, dist, positive = copydet.train._loss_pairs(emb, labels, bank, cfg.neg_margin)
             positives, negatives, full = loss_pairs_oracle(emb, labels, bank, cfg.neg_margin)
             n = X.shape[0]
@@ -203,9 +199,9 @@ class TestLossEdgeCases:
         emb = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5]])
         margin = {-1: np.nextafter(1.0, 0.0), 0: 1.0, 1: np.nextafter(1.0, 2.0)}[side]
         cfg = LossConfig(neg_margin=float(margin))
-        for bank in (None, MemoryBank(4, 4)):
+        for bank in (MemoryBank(0, 4), MemoryBank(4, 4)):
             batch = emb
-            if bank is not None:
+            if bank.capacity:
                 bank.push(emb[1:], np.array([2]))
                 batch = emb[:1]
             loss, grad = assert_matches_reference(batch, np.array([1, 2])[: len(batch)], bank, cfg)
@@ -220,7 +216,7 @@ class TestLossEdgeCases:
         cfg = LossConfig(neg_margin=0.44706550741615503)
         assert np.all(np.einsum("ij,ij->i", emb, emb) == 1.0)
         assert -2.0 * emb[1, 0] >= (cfg.neg_margin**2 - 1.0) - 1.0
-        loss, grad = assert_matches_reference(emb, np.array([1, 2]), None, cfg)
+        loss, grad = assert_matches_reference(emb, np.array([1, 2]), MemoryBank(0, 2), cfg)
         assert loss > 0.0 and grad.any()
 
     def test_positive_only_bank_column(self):
@@ -262,7 +258,7 @@ class TestLossEdgeCases:
         # A NaN distance would fail every threshold and drop out silently.
         emb = np.array([[1.0, 0.0], [np.nan, 0.0]])
         with pytest.raises(NonFiniteValue, match="non-finite embedding"):
-            contrastive_loss(emb, np.array([1, 2]), None, LossConfig())
+            contrastive_loss(emb, np.array([1, 2]), MemoryBank(0, 2), LossConfig())
 
     def test_labels_spread_to_a_million(self):
         # A label range far above 6 (b + m) is where numpy's default isin
@@ -292,7 +288,7 @@ class TestLossEdgeCases:
         loss, grad = assert_matches_reference(emb, labels, bank, LossConfig(neg_margin=1.2))
         assert labels.min() < 0 and np.ptp(np.concatenate((labels, pool))) >= 2**62
         assert loss > 0.0 and grad.any()
-        assert_matches_reference(np.eye(4)[:2], np.array([0, 2**62]), None, LossConfig())
+        assert_matches_reference(np.eye(4)[:2], np.array([0, 2**62]), MemoryBank(0, 4), LossConfig())
 
     def test_empty_bank_is_no_bank(self):
         rng = np.random.default_rng(0)
@@ -302,9 +298,9 @@ class TestLossEdgeCases:
             empty = MemoryBank(0, 4)
             empty.push(unit_rows(rng, 5, 4), np.arange(5))
             loss, grad = contrastive_loss(emb, labels, empty, LossConfig())
-            none_loss, none_grad = contrastive_loss(emb, labels, None, LossConfig())
-            assert loss == none_loss
-            np.testing.assert_array_equal(grad, none_grad)
+            fresh_loss, fresh_grad = contrastive_loss(emb, labels, MemoryBank(0, 4), LossConfig())
+            assert loss == fresh_loss
+            np.testing.assert_array_equal(grad, fresh_grad)
 
     def test_full_bank_of_20000(self):
         rng = np.random.default_rng(20000)
@@ -320,30 +316,30 @@ class TestLossEdgeCases:
 class TestContrastiveLoss:
     def test_single_positive_pair(self):
         emb = pair_at_distance(0.5)
-        loss, _ = contrastive_loss(emb, np.array([1, 1]), None, LossConfig())
+        loss, _ = contrastive_loss(emb, np.array([1, 1]), MemoryBank(0, 2), LossConfig())
         np.testing.assert_allclose(loss, 0.5, atol=1e-12)
 
     def test_inactive_negative_pair(self):
         emb = pair_at_distance(1.2)
-        loss, grad = contrastive_loss(emb, np.array([1, 2]), None, LossConfig())
+        loss, grad = contrastive_loss(emb, np.array([1, 2]), MemoryBank(0, 2), LossConfig())
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(emb))
 
     def test_empty_batch(self):
         with pytest.raises(EmptyBatch):
-            contrastive_loss(np.empty((0, 4)), np.empty(0), None, LossConfig())
+            contrastive_loss(np.empty((0, 4)), np.empty(0), MemoryBank(0, 4), LossConfig())
 
-    @pytest.mark.parametrize("emb, labels", BAD_LABELS)
+    @pytest.mark.parametrize("emb, labels", BAD_LABELS + BAD_BATCHES[2:3])
     def test_bad_label_shape_without_bank_raises(self, emb, labels):
         with pytest.raises(ShapeMismatch, match=shape_message(emb, labels)):
-            contrastive_loss(emb, labels, None, LossConfig())
+            contrastive_loss(emb, labels, MemoryBank(0, 3), LossConfig())
 
     @pytest.mark.parametrize("filled", [0, 2])
     @pytest.mark.parametrize("emb, labels", BAD_BATCHES)
     def test_batch_the_bank_cannot_take_raises(self, filled, emb, labels):
         bank = MemoryBank(4, 3)
         bank.push(np.eye(3)[:filled], np.arange(filled))
-        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels, " for a bank of dim 3")):
+        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels)):
             contrastive_loss(emb, labels, bank, LossConfig())
 
     def test_float_labels_raise(self):
@@ -352,14 +348,14 @@ class TestContrastiveLoss:
         emb = pair_at_distance(0.5)
         for labels in (np.array([1.5, 1.2]), np.array([1.0, 1.0])):
             with pytest.raises(ValueError, match="labels must be integers, got float64"):
-                contrastive_loss(emb, labels, None, LossConfig())
+                contrastive_loss(emb, labels, MemoryBank(0, 2), LossConfig())
         bank = MemoryBank(4, 2)
         bank.push(emb, np.array([3, 4]))
         with pytest.raises(ValueError, match="labels must be integers, got float64"):
             contrastive_loss(emb[:1], np.array([3.0]), bank, LossConfig())
 
     def test_single_item_empty_bank_zero_pairs(self):
-        loss, grad = contrastive_loss(np.array([[1.0, 0.0]]), np.array([1]), None, LossConfig())
+        loss, grad = contrastive_loss(np.array([[1.0, 0.0]]), np.array([1]), MemoryBank(0, 2), LossConfig())
         assert loss == 0.0 and not grad.any()
 
     def test_loss_floor(self):
@@ -367,13 +363,13 @@ class TestContrastiveLoss:
         for _ in range(30):
             emb = unit_rows(rng, 6, 4)
             labels = rng.integers(0, 3, size=6)
-            loss, _ = contrastive_loss(emb, labels, None, LossConfig())
+            loss, _ = contrastive_loss(emb, labels, MemoryBank(0, 4), LossConfig())
             assert loss >= 0.0
 
     def test_exact_zero_when_all_hinges_satisfied(self):
         # Orthogonal different-label rows sit at distance sqrt(2) > 1.
         emb = np.eye(4)
-        loss, grad = contrastive_loss(emb, np.arange(4), None, LossConfig())
+        loss, grad = contrastive_loss(emb, np.arange(4), MemoryBank(0, 4), LossConfig())
         assert loss == 0.0 and not grad.any()
 
     def test_bank_pairs_counted(self):
@@ -519,7 +515,7 @@ class TestMemoryBank:
         bank = MemoryBank(4, 3)
         bank.push(np.eye(3)[:filled], np.arange(filled))
         before = bank_contents(bank)
-        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels, " for a bank of dim 3")):
+        with pytest.raises(ShapeMismatch, match=shape_message(emb, labels)):
             bank.push(emb, labels)
         after = bank_contents(bank)
         np.testing.assert_array_equal(after[0], before[0])
@@ -598,12 +594,12 @@ class TestEncoder:
     @pytest.mark.parametrize("hidden", [0, 4])
     def test_zero_output_width_rejected(self, hidden):
         with pytest.raises(ValueError, match=r"^output width must be >= 1, got 0$"):
-            Encoder.init(8, 0, hidden=hidden)
+            Encoder.init(8, 0, hidden=hidden, rng=np.random.default_rng(0))
 
     def test_training_input_width_checked(self):
-        enc = Encoder.init(4, 2)
+        enc = Encoder.init(4, 2, rng=np.random.default_rng(0))
         with pytest.raises(DimMismatch, match=r"^encoder takes 4-dim input, got 5-dim rows$"):
-            encoder_loss_and_grads(enc, np.ones((3, 5)), np.arange(3), None, LossConfig())
+            encoder_loss_and_grads(enc, np.ones((3, 5)), np.arange(3), MemoryBank(0, 2), LossConfig())
 
     def test_forward_unit_norm(self):
         rng = np.random.default_rng(4)
@@ -755,9 +751,8 @@ class TestEncoderGradients:
             enc = Encoder.init(6, 4, hidden=hidden, rng=rng)
             x = rng.standard_normal((6, 6))
             labels = rng.integers(0, 3, size=6)
-            bank = None
-            if trial % 3 == 0:
-                bank = MemoryBank(12, 4)
+            bank = MemoryBank(12 if trial % 3 == 0 else 0, 4)
+            if bank.capacity:
                 bank.push(unit_rows(rng, 5, 4), rng.integers(0, 3, size=5))
             # Mix of margins exercises active and inactive hinges.
             cfg = LossConfig(pos_margin=0.0 if trial % 2 else 0.1, neg_margin=1.0 + 0.2 * (trial % 3))
