@@ -106,7 +106,6 @@ class TestManifest:
         bad_stage = {**d["stages"][0], "lr": "0.1"}
         with pytest.raises(ValueError, match=r"^stages\[0\] field 'lr' must be float, got str$"):
             RunManifest.from_dict({**d, "stages": [bad_stage]})
-        # Each item is named by its position in the list.
         stages = [d["stages"][0], {**d["stages"][1], "epochs": "2"}]
         with pytest.raises(ValueError, match=r"^stages\[1\] field 'epochs' must be int, got str$"):
             RunManifest.from_dict({**d, "stages": stages})
