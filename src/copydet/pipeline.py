@@ -60,6 +60,9 @@ class RunManifest:
         for name, low in (("seed", 0), ("encoder_dim", 1), ("per_query_k", 1), ("encoder_hidden", 0),
                           ("bank_capacity", 0), ("momentum", 0)):
             check_at_least(name, getattr(self, name), low)
+        for i, stage in enumerate(self.stages):
+            if not isinstance(stage, StageConfig):
+                raise TypeError(f"stages[{i}] must be a StageConfig, got {type(stage).__name__}")
 
     def to_dict(self) -> dict:
         return asdict(self)

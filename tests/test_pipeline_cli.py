@@ -117,6 +117,11 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"^neg_margin must be >= 0, got {margin}$"):
             RunManifest.from_dict({"seed": 0, "out_dir": "", "loss": {"neg_margin": margin}})
 
+    def test_stage_dicts_rejected(self, tmp_path):
+        # Only from_dict reads JSON objects; a direct build takes StageConfig objects.
+        with pytest.raises(TypeError, match=r"^stages\[1\] must be a StageConfig, got dict$"):
+            tiny_manifest(tmp_path, stages=[StageConfig(index=1, tier="weak"), dict(index=2, tier="strong")])
+
     def test_bad_world_tier_rejected(self, tmp_path):
         d = json.loads(tiny_manifest(tmp_path).to_json())
         with pytest.raises(ValueError, match=r"^unknown tier 'bogus', expected one of \(.*\)$"):
@@ -194,6 +199,19 @@ class TestReproduceTrend:
         printed = json.loads(capsys.readouterr().out)
         for key in ("micro_ap", "recall_at_p90"):
             assert printed[key] == report["rows"][-1][key]
+
+    @pytest.mark.parametrize("side", ["queries", "reference"])
+    def test_post_file_is_the_postprocess_command_on_its_side(self, tmp_path, side):
+        manifest = tiny_manifest(tmp_path / "run")
+        reproduce_trend(manifest)
+        emb = tmp_path / "run" / "embeddings"
+        negsub = manifest.negsub
+        assert main([
+            "postprocess", "--negatives", str(emb / "training.emb"),
+            "--n", str(negsub.n), "--k", str(negsub.k), "--beta", str(negsub.beta),
+            "--in", str(emb / f"{side}.emb"), "--out", str(tmp_path / "post.emb"),
+        ]) == 0
+        assert (tmp_path / "post.emb").read_bytes() == (emb / f"{side}_post.emb").read_bytes()
 
     def test_text_table_mentions_every_row(self, tmp_path):
         manifest = tiny_manifest(tmp_path / "run")
@@ -920,6 +938,15 @@ class TestRunFlags:
         (want if config is None else want[config])[field] = expected
         assert want != default
         assert manifest.to_dict() == want
+
+    @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
+    def test_postprocess_targets_flag_is_gone(self, tmp_path, capsys, command):
+        # A run post-processes both sides; there is no flag to pick one.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "4", "--out-dir", str(tmp_path / "run"), "--postprocess-targets", "queries"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --postprocess-targets queries" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["reproduce-trend", "negative-swap"])
     def test_stages_flag_sets_the_schedule(self, tmp_path, command):
